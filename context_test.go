@@ -226,31 +226,3 @@ func TestFingerprintExcludesRuntimeKnobs(t *testing.T) {
 		t.Fatalf("fingerprint depends on runtime knobs:\nplain: %s\ntuned: %s", plain, tuned)
 	}
 }
-
-// TestVerifyTypedShim: the typed violations and the deprecated
-// VerifyStrings shim must carry the same details — the dedicated test that
-// keeps the shim compiling and faithful until it is removed. New code
-// belongs on Verify's typed []Violation.
-func TestVerifyTypedShim(t *testing.T) {
-	sources, err := BuiltinDomain("Airline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Integrate(sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := res.Verify()
-	ss := res.VerifyStrings()
-	if len(vs) != len(ss) {
-		t.Fatalf("typed (%d) and string (%d) violation counts differ", len(vs), len(ss))
-	}
-	for i, v := range vs {
-		if v.Detail != ss[i] {
-			t.Errorf("violation %d: detail %q != string %q", i, v.Detail, ss[i])
-		}
-		if v.Rule == "" || v.String() == "" {
-			t.Errorf("violation %d has empty rule or String()", i)
-		}
-	}
-}

@@ -1,17 +1,19 @@
-// Package delta is the incremental integration engine: the pipeline core
-// shared by the one-shot qilabel.IntegrateContext and the stateful Session
-// (AddSource / RemoveSource / UpdateSource), plus the cross-run caches
-// that make a delta cheap.
+// Package delta is the integration pipeline core shared by the one-shot
+// qilabel.IntegrateContext and the stateful Session (AddSource /
+// RemoveSource / UpdateSource).
 //
 // The engine's contract is *equivalence*: a Session's outcome after any
 // delta sequence is byte-identical to a from-scratch run over the same
-// final source set. That holds by construction — the session runs the
-// exact same pipeline (the one function below), and every cache it
-// consults (the matcher's pair-verdict memo, the naming run memo) stores
-// results of pure functions keyed by the full content those functions
-// read. Reuse changes only what is recomputed, never what comes out; the
-// delta equivalence gate in the root package pins it across the synth and
-// golden corpora, serial and parallel.
+// final source set. That holds by construction — a Session is only a sorted
+// source multiset, and every operation re-runs the one pipeline function
+// below over the whole updated set. What makes a delta cheap is the warm
+// caches the Integrator threads through Config (Warm, MatchWarm,
+// SourceLabels): they store results of pure functions keyed by the full
+// content those functions read, so a run over a set that differs by one
+// source recomputes only the match pairs, group solves and node
+// derivations the change touched. Reuse changes only what is recomputed,
+// never what comes out; the delta equivalence gate in the root package
+// pins it across the synth and golden corpora, serial and parallel.
 package delta
 
 import (
@@ -79,14 +81,6 @@ type Outcome struct {
 	Naming  *naming.Result
 }
 
-// Caches is the cross-run state a Session threads through consecutive
-// pipeline runs. A nil Caches (or nil fields) degrades to a full
-// recomputation — the one-shot path.
-type Caches struct {
-	Match  *match.Memo
-	Naming *naming.RunMemo
-}
-
 // ErrNoSources is returned by a run over an empty source set; the string
 // matches qilabel's historical error.
 var ErrNoSources = errors.New("qilabel: no source interfaces")
@@ -102,7 +96,7 @@ var ErrNoClusters = errors.New("qilabel: no clusters; annotate the sources or us
 // observe hook, when non-nil, receives one call per completed stage
 // ("match", "merge", "naming") with the stage's unit count; the caller
 // tracks durations.
-func Run(ctx context.Context, trees []*schema.Tree, cfg Config, caches *Caches, observe func(stage string, units int)) (*Outcome, error) {
+func Run(ctx context.Context, trees []*schema.Tree, cfg Config, observe func(stage string, units int)) (*Outcome, error) {
 	if len(trees) == 0 {
 		return nil, ErrNoSources
 	}
@@ -165,25 +159,19 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, caches *Caches, 
 	if cfg.UseMatcher {
 		// After expansion, so matcher-assigned clusters replace every
 		// annotation uniformly (including the expanded 1:m children).
-		var n int
-		var err error
-		if caches != nil && caches.Match != nil && !cfg.ReferenceKernels {
-			n, err = caches.Match.AssignIncremental(ctx, trees)
-		} else {
-			sem := naming.NewSemantics(cfg.Lexicon)
-			if cfg.ReferenceKernels {
-				sem = naming.NewSemanticsUnmemoized(cfg.Lexicon)
-			}
-			n, err = match.AssignContext(ctx, trees, match.Options{
-				Semantics:       sem,
-				Parallelism:     cfg.Parallelism,
-				DisableBlocking: cfg.ReferenceKernels,
-				Analysis:        analysis,
-				Scratch:         cfg.MatchScratch,
-				Warm:            cfg.MatchWarm,
-				WarmKey:         warmKey,
-			})
+		sem := naming.NewSemantics(cfg.Lexicon)
+		if cfg.ReferenceKernels {
+			sem = naming.NewSemanticsUnmemoized(cfg.Lexicon)
 		}
+		n, err := match.AssignContext(ctx, trees, match.Options{
+			Semantics:       sem,
+			Parallelism:     cfg.Parallelism,
+			DisableBlocking: cfg.ReferenceKernels,
+			Analysis:        analysis,
+			Scratch:         cfg.MatchScratch,
+			Warm:            cfg.MatchWarm,
+			WarmKey:         warmKey,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -205,17 +193,12 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, caches *Caches, 
 	}
 	observe("merge", len(m.Clusters))
 
-	var namingMemo *naming.RunMemo
-	if caches != nil && !cfg.ReferenceKernels {
-		namingMemo = caches.Naming
-	}
 	nres, err := naming.RunContext(ctx, mr, naming.Options{
 		Lexicon:          cfg.Lexicon,
 		MaxLevel:         naming.Level(cfg.MaxLevel),
 		DisableInstances: cfg.DisableInstances,
 		Parallelism:      cfg.Parallelism,
 		DisableMemo:      cfg.ReferenceKernels,
-		Memo:             namingMemo,
 		Analysis:         analysis,
 		Warm:             cfg.Warm,
 		WarmKey:          warmKey,

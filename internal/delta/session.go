@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"qilabel/internal/cluster"
-	"qilabel/internal/match"
-	"qilabel/internal/naming"
 	"qilabel/internal/schema"
 )
 
@@ -23,13 +21,14 @@ var ErrEmptySession = errors.New("qilabel: session has no sources")
 // given hash matches no source in the session.
 var ErrUnknownSource = errors.New("qilabel: unknown source hash")
 
-// Stats profiles one delta operation: what the pipeline had to do and
-// what it reused. A "component" is one cluster of the mapping; a
+// Stats profiles one delta operation by how much of the outcome the
+// change touched. A "component" is one cluster of the mapping; a
 // component counts as reused when a cluster with identical member content
 // (interface, label, instances — names excluded, the matcher renumbers
 // them) existed after the previous operation, i.e. the source change did
-// not touch it and its match edges and naming solution came from the
-// session caches.
+// not touch it. The counts derive from content alone, not from cache
+// probes: the warm caches a run consults are shared by every run on the
+// Integrator, so their hit counters cannot be attributed to one session.
 type Stats struct {
 	// Op is "add", "update" or "remove".
 	Op string
@@ -41,17 +40,6 @@ type Stats struct {
 	Components           int
 	ComponentsReused     int
 	ComponentsRecomputed int
-	// GroupsReused / GroupsComputed count naming group solves answered
-	// from the run memo vs. executed; Isolated* likewise for isolated
-	// cluster elections.
-	GroupsReused     int
-	GroupsComputed   int
-	IsolatedReused   int
-	IsolatedComputed int
-	// PairsEvaluated / PairHits count matcher pair verdicts computed vs.
-	// answered from the pair memo (matcher sessions only).
-	PairsEvaluated int
-	PairHits       int
 	// Duration is the operation's pipeline time.
 	Duration time.Duration
 }
@@ -60,8 +48,6 @@ type Stats struct {
 type Totals struct {
 	Ops, Adds, Updates, Removes            int64
 	ComponentsReused, ComponentsRecomputed int64
-	GroupsReused, GroupsComputed           int64
-	PairsEvaluated, PairHits               int64
 }
 
 // entry is one distinct source tree in the session's multiset: the
@@ -75,19 +61,18 @@ type entry struct {
 	n    int
 }
 
-// Session owns a live integration state over a mutable source multiset.
-// Each delta operation (AddSource, UpdateSource, RemoveSource) re-runs
-// the shared pipeline over the updated set, threading the session caches
-// so only the work the change touches is recomputed; the resulting
-// Outcome is always exactly what a from-scratch run over the same set
-// would produce. Operations are serialized by an internal mutex; a failed
-// or canceled operation leaves the session state unchanged (the caches
-// may have absorbed partial work — harmless, they store pure-function
-// results).
+// Session is a sorted source multiset with the outcome of its last run.
+// Each delta operation (AddSource, UpdateSource, RemoveSource) calls Run
+// over the whole updated set with the session's Config; the warm caches
+// that Config carries make the run recompute only what the change touched,
+// and the resulting Outcome is always exactly what a from-scratch run over
+// the same set would produce. Operations are serialized by an internal
+// mutex; a failed or canceled operation leaves the session state unchanged
+// (the warm caches may have absorbed partial work — harmless, they store
+// pure-function results).
 type Session struct {
 	mu       sync.Mutex
 	cfg      Config
-	caches   *Caches
 	entries  []entry // sorted by hash
 	out      *Outcome
 	prevSigs map[string]int // cluster content signature -> count, last run
@@ -95,18 +80,11 @@ type Session struct {
 	totals   Totals
 }
 
-// NewSession returns an empty session. The configuration is fixed for the
-// session's lifetime — the caches key on content only because the options
-// cannot change under them.
+// NewSession returns an empty session whose operations run with cfg — in
+// qilabel, the Integrator's configuration with its warm caches attached.
+// The configuration is fixed for the session's lifetime.
 func NewSession(cfg Config) *Session {
-	s := &Session{cfg: cfg}
-	if !cfg.ReferenceKernels {
-		s.caches = &Caches{Naming: naming.NewRunMemo()}
-		if cfg.UseMatcher {
-			s.caches.Match = match.NewMemo(cfg.Lexicon)
-		}
-	}
-	return s
+	return &Session{cfg: cfg}
 }
 
 // AddSource validates and adds one source tree (the input is cloned,
@@ -240,7 +218,7 @@ func (s *Session) recompute(ctx context.Context, op string, next []entry) error 
 			working = append(working, e.tree.Clone())
 		}
 	}
-	out, err := Run(ctx, working, s.cfg, s.caches, nil)
+	out, err := Run(ctx, working, s.cfg, nil)
 	if err != nil {
 		return err
 	}
@@ -260,15 +238,6 @@ func (s *Session) recompute(ctx context.Context, op string, next []entry) error 
 		}
 	}
 	st.ComponentsRecomputed = st.Components - st.ComponentsReused
-	if s.caches != nil && s.caches.Naming != nil {
-		m := s.caches.Naming
-		st.GroupsReused, st.GroupsComputed = m.GroupsReused, m.GroupsComputed
-		st.IsolatedReused, st.IsolatedComputed = m.IsolatedReused, m.IsolatedComputed
-	}
-	if s.caches != nil && s.caches.Match != nil {
-		ms := s.caches.Match.Stats()
-		st.PairsEvaluated, st.PairHits = ms.PairsEvaluated, ms.PairHits
-	}
 	st.Duration = elapsed()
 
 	s.entries = next
@@ -292,10 +261,6 @@ func (s *Session) commit(st Stats) {
 	}
 	s.totals.ComponentsReused += int64(st.ComponentsReused)
 	s.totals.ComponentsRecomputed += int64(st.ComponentsRecomputed)
-	s.totals.GroupsReused += int64(st.GroupsReused + st.IsolatedReused)
-	s.totals.GroupsComputed += int64(st.GroupsComputed + st.IsolatedComputed)
-	s.totals.PairsEvaluated += int64(st.PairsEvaluated)
-	s.totals.PairHits += int64(st.PairHits)
 }
 
 // Outcome returns the current integration outcome. The outcome is shared,

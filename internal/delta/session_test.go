@@ -9,6 +9,8 @@ import (
 
 	"qilabel/internal/cluster"
 	"qilabel/internal/lexicon"
+	"qilabel/internal/match"
+	"qilabel/internal/naming"
 	"qilabel/internal/schema"
 	"qilabel/internal/synth"
 )
@@ -31,6 +33,19 @@ func pool(t *testing.T, seed uint64, sources int) []*schema.Tree {
 
 func testConfig(matcher bool) Config {
 	return Config{Lexicon: lexicon.Default(), UseMatcher: matcher}
+}
+
+// warmConfig is testConfig with test-owned warm caches attached, the way
+// an Integrator configures its sessions. No other run shares the caches,
+// so their counters measure the session alone.
+func warmConfig(matcher bool) Config {
+	cfg := testConfig(matcher)
+	cfg.Warm = naming.NewWarm(cfg.Lexicon, 0, 0)
+	if matcher {
+		cfg.MatchWarm = match.NewWarm(cfg.Lexicon, 0, 0, 0)
+	}
+	cfg.SourceLabels = NewSourceLabelMemo(0)
+	return cfg
 }
 
 // renderOutcome serializes the observables equivalence cares about at
@@ -63,7 +78,8 @@ func fromScratch(t *testing.T, cfg Config, sources []*schema.Tree) *Outcome {
 	for i, src := range sources {
 		working[i] = src.Clone()
 	}
-	out, err := Run(context.Background(), working, cfg, nil, nil)
+	cfg.Warm, cfg.MatchWarm, cfg.SourceLabels = nil, nil, nil
+	out, err := Run(context.Background(), working, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +103,7 @@ func assertMatchesScratch(t *testing.T, s *Session, cfg Config) {
 func TestSessionLifecycle(t *testing.T) {
 	for _, matcher := range []bool{false, true} {
 		t.Run(fmt.Sprintf("matcher=%v", matcher), func(t *testing.T) {
-			cfg := testConfig(matcher)
+			cfg := warmConfig(matcher)
 			srcs := pool(t, 3, 4)
 			s := NewSession(cfg)
 			ctx := context.Background()
@@ -164,8 +180,13 @@ func TestSessionLifecycle(t *testing.T) {
 			if tot.ComponentsReused == 0 {
 				t.Fatalf("no component reuse across the lifecycle: %+v", tot)
 			}
-			if matcher && tot.PairHits == 0 {
-				t.Fatalf("matcher session never hit the pair memo: %+v", tot)
+			if st := cfg.Warm.Stats(); st.SolveHits == 0 {
+				t.Fatalf("session never answered a naming solve from the warm cache: %+v", st)
+			}
+			if matcher {
+				if st := cfg.MatchWarm.Stats(); st.PairHits == 0 {
+					t.Fatalf("matcher session never hit the pair-verdict cache: %+v", st)
+				}
 			}
 		})
 	}
@@ -192,7 +213,7 @@ func TestSessionDuplicateMirrorsScratch(t *testing.T) {
 	if _, err := s.AddSource(ctx, src); err == nil {
 		t.Fatal("duplicate interface integrated")
 	}
-	if _, err := Run(ctx, []*schema.Tree{src.Clone(), src.Clone()}, cfg, nil, nil); err == nil {
+	if _, err := Run(ctx, []*schema.Tree{src.Clone(), src.Clone()}, cfg, nil); err == nil {
 		t.Fatal("session rejected the duplicate but a from-scratch run accepts it")
 	}
 	if s.Len() != 1 || s.TotalStats().Ops != 1 {
@@ -303,14 +324,12 @@ func TestSessionCanceledOpRollsBack(t *testing.T) {
 }
 
 // TestSessionReferenceKernels: the test-only reference configuration runs
-// every delta from scratch (no caches) and still reaches the same states.
+// every delta from scratch — it bypasses the warm caches its Config
+// carries — and still reaches the same states.
 func TestSessionReferenceKernels(t *testing.T) {
-	cfg := testConfig(true)
+	cfg := warmConfig(true)
 	cfg.ReferenceKernels = true
 	s := NewSession(cfg)
-	if s.caches != nil {
-		t.Fatal("reference session allocated caches")
-	}
 	ctx := context.Background()
 	for _, src := range pool(t, 17, 3) {
 		if _, err := s.AddSource(ctx, src); err != nil {
@@ -318,14 +337,20 @@ func TestSessionReferenceKernels(t *testing.T) {
 		}
 	}
 	assertMatchesScratch(t, s, cfg)
-	if st := s.LastStats(); st.GroupsReused != 0 || st.PairHits != 0 {
-		t.Fatalf("reference session reported cache reuse: %+v", st)
+	if st := cfg.Warm.Stats(); st != (naming.WarmStats{}) {
+		t.Fatalf("reference session touched the naming warm cache: %+v", st)
+	}
+	if st := cfg.MatchWarm.Stats(); st != (match.WarmStats{}) {
+		t.Fatalf("reference session touched the matcher warm cache: %+v", st)
+	}
+	if st := cfg.SourceLabels.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("reference session touched the source-label memo: %+v", st)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	cfg := testConfig(false)
-	if _, err := Run(context.Background(), nil, cfg, nil, nil); !errors.Is(err, ErrNoSources) {
+	if _, err := Run(context.Background(), nil, cfg, nil); !errors.Is(err, ErrNoSources) {
 		t.Errorf("Run(no trees) = %v, want ErrNoSources", err)
 	}
 	// Strip every annotation: without the matcher there is nothing to
@@ -337,7 +362,7 @@ func TestRunErrors(t *testing.T) {
 			leaf.MultiClusters = nil
 		}
 	}
-	if _, err := Run(context.Background(), trees, cfg, nil, nil); !errors.Is(err, ErrNoClusters) {
+	if _, err := Run(context.Background(), trees, cfg, nil); !errors.Is(err, ErrNoClusters) {
 		t.Errorf("Run(unannotated) = %v, want ErrNoClusters", err)
 	}
 }
@@ -347,7 +372,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunObserve(t *testing.T) {
 	trees := pool(t, 23, 3)
 	stages := map[string]int{}
-	_, err := Run(context.Background(), trees, testConfig(true), nil,
+	_, err := Run(context.Background(), trees, testConfig(true),
 		func(stage string, units int) { stages[stage] = units })
 	if err != nil {
 		t.Fatal(err)

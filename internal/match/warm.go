@@ -1,16 +1,43 @@
-// Cross-run warm caching for the matcher: the Integrator-owned analogue of
-// the session Memo. Where Memo serves one serial delta session, Warm serves
-// any number of concurrent one-shot runs on one handle — the same two pure
-// facts (a field's block keys, a pair's match verdict) cached under the
-// same content keys, but bounded, concurrency-safe and epoch-invalidated.
+// Cross-run warm caching for the matcher. One Warm, owned by a long-lived
+// Integrator, serves every run on that handle — one-shot integrations and
+// delta-session operations alike, concurrently — with two pure facts (a
+// field's block keys, a pair's match verdict) cached under field-content
+// keys, bounded, concurrency-safe and epoch-invalidated. A session that
+// adds one source to a seen set therefore re-evaluates only the pairs the
+// new source's fields take part in.
 package match
 
 import (
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"qilabel/internal/lexicon"
 )
+
+// contentKey serializes exactly the field content the similarity signals
+// read: the trimmed label and the normalized (case-folded, trimmed,
+// deduplicated) instance value set, sorted for stability. Fields with
+// equal content keys receive identical verdicts against any third field.
+func contentKey(f *fieldInfo) string {
+	var b strings.Builder
+	b.WriteString(strconv.Itoa(len(f.label)))
+	b.WriteByte(':')
+	b.WriteString(f.label)
+	vals := make([]string, 0, len(f.inst))
+	for v := range f.inst {
+		vals = append(vals, v)
+	}
+	sort.Strings(vals)
+	for _, v := range vals {
+		b.WriteString(strconv.Itoa(len(v)))
+		b.WriteByte(':')
+		b.WriteString(v)
+	}
+	return b.String()
+}
 
 // Default capacity bounds for a matcher Warm cache. The key cap bounds
 // remembered field contents (block keys plus a stable ID each); the pair

@@ -74,19 +74,14 @@ type Options struct {
 	// the option is a pure accelerator: it can never change the labeling.
 	// Ignored under DisableMemo.
 	Analysis *Analysis
-	// Memo, when non-nil, caches group solves and isolated-cluster
-	// elections across runs, keyed by content signatures; a run over a
-	// slightly changed source set then recomputes only the groups the
-	// change touched. Both units are pure functions of what the signatures
-	// cover, so reuse cannot change the output (the delta equivalence gate
-	// pins this byte for byte). The memo must not be shared between
-	// concurrent runs.
-	Memo *RunMemo
 	// Warm, when non-nil, is the cross-run warm cache of a long-lived
 	// handle: group solves, isolated elections and per-node candidate
 	// derivations are answered from it across any number of concurrent
-	// runs, keyed by the same content signatures the Memo uses (so reuse is
-	// equally output-preserving). Probed after the Memo; misses feed both.
+	// runs, keyed by content signatures that exclude cluster names (so a
+	// delta session's run over a slightly changed source set recomputes
+	// only the units the change touched). Every cached unit is a pure
+	// function of what its signature covers, so reuse cannot change the
+	// output; the warm and delta equivalence gates pin this byte for byte.
 	// Ignored under DisableMemo or when built over a different lexicon.
 	Warm *Warm
 	// WarmKey, when non-empty alongside Warm, is the caller's fingerprint of
@@ -220,16 +215,11 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	units := collectSourceUnits(mr.Sources)
 
 	// ---- Phase 1a: groups. -----------------------------------------------
-	// With a memo or warm cache, relations are built and signatures
-	// consulted serially; only the cache misses fan out to the solver
-	// workers, and their results are stored serially afterwards. Reused
-	// outcomes are rebound to the current run's cluster objects; reused
-	// counter tallies merge exactly as a fresh solve's would (addition
-	// commutes). The session memo is probed first (it is private to the
-	// run), the shared warm cache second; a warm hit seeds the memo and a
-	// miss feeds both.
-	memo := opts.Memo
-	memo.beginRun()
+	// With a warm cache, relations are built and signatures consulted
+	// serially; only the cache misses fan out to the solver workers, and
+	// their results are stored serially afterwards. Reused outcomes are
+	// rebound to the current run's cluster objects; reused counter tallies
+	// merge exactly as a fresh solve's would (addition commutes).
 	warm := opts.Warm
 	if opts.DisableMemo || (warm != nil && warm.lex != sem.Lexicon()) {
 		warm = nil
@@ -249,7 +239,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	}
 	groupOuts := make([]*GroupOutcome, len(mr.Groups))
 	groupCounters := make([]Counters, len(mr.Groups))
-	if memo != nil || warm != nil {
+	if warm != nil {
 		rels := make([]*cluster.Relation, len(mr.Groups))
 		sigs := make([]string, len(mr.Groups))
 		var miss []int
@@ -265,30 +255,13 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 			}
 			rels[i] = cluster.BuildRelation(g, ifaces)
 			sigs[i] = groupSignature(g, rels[i], sopts)
-			if memo != nil {
-				if e, ok := memo.lookupGroup(sigs[i]); ok {
-					groupOuts[i] = e.outcomeFor(g)
-					groupCounters[i] = e.counters
-					memo.GroupsReused++
-					if gkey != "" {
-						warm.groups.store(gkey, groupEntry{outcome: e.outcome, counters: e.counters})
-					}
-					continue
+			if e, ok := warm.groups.lookup(sigs[i]); ok {
+				groupOuts[i] = e.outcomeFor(g)
+				groupCounters[i] = e.counters
+				if gkey != "" {
+					warm.groups.store(gkey, e)
 				}
-			}
-			if warm != nil {
-				if e, ok := warm.groups.lookup(sigs[i]); ok {
-					groupOuts[i] = e.outcomeFor(g)
-					groupCounters[i] = e.counters
-					if memo != nil {
-						memo.storeGroup(sigs[i], e.outcome, e.counters)
-						memo.GroupsReused++
-					}
-					if gkey != "" {
-						warm.groups.store(gkey, e)
-					}
-					continue
-				}
+				continue
 			}
 			miss = append(miss, i)
 		}
@@ -302,16 +275,10 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 			return nil, err
 		}
 		for _, i := range miss {
-			if memo != nil {
-				memo.storeGroup(sigs[i], groupOuts[i], groupCounters[i])
-				memo.GroupsComputed++
-			}
-			if warm != nil {
-				e := groupEntry{outcome: groupOuts[i], counters: groupCounters[i]}
-				warm.groups.store(sigs[i], e)
-				if cheap != "" {
-					warm.groups.store(cheap+"|g|"+strconv.Itoa(i), e)
-				}
+			e := groupEntry{outcome: groupOuts[i], counters: groupCounters[i]}
+			warm.groups.store(sigs[i], e)
+			if cheap != "" {
+				warm.groups.store(cheap+"|g|"+strconv.Itoa(i), e)
 			}
 		}
 	} else {
@@ -346,44 +313,21 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		}
 		if !rootCheap {
 			rel := cluster.BuildRelation(mr.Root, ifaces)
-			if memo != nil || warm != nil {
+			if warm != nil {
 				sig := groupSignature(mr.Root, rel, sopts)
-				var e groupEntry
-				var hit bool
-				if memo != nil {
-					if e, hit = memo.lookupGroup(sig); hit {
-						memo.GroupsReused++
-					}
-				}
-				if !hit && warm != nil {
-					if e, hit = warm.groups.lookup(sig); hit && memo != nil {
-						memo.storeGroup(sig, e.outcome, e.counters)
-						memo.GroupsReused++
-					}
-				}
+				e, hit := warm.groups.lookup(sig)
 				if hit {
 					out = e.outcomeFor(mr.Root)
-					res.Counters.Merge(e.counters)
-					if cheap != "" {
-						warm.groups.store(cheap+"|g|root", e)
-					}
 				} else {
-					var cnt Counters
 					so := sopts
-					so.Counters = &cnt
+					so.Counters = &e.counters
 					out = sem.SolveGroup(rel, so)
-					if memo != nil {
-						memo.storeGroup(sig, out, cnt)
-						memo.GroupsComputed++
-					}
-					if warm != nil {
-						e := groupEntry{outcome: out, counters: cnt}
-						warm.groups.store(sig, e)
-						if cheap != "" {
-							warm.groups.store(cheap+"|g|root", e)
-						}
-					}
-					res.Counters.Merge(cnt)
+					e.outcome = out
+					warm.groups.store(sig, e)
+				}
+				res.Counters.Merge(e.counters)
+				if cheap != "" {
+					warm.groups.store(cheap+"|g|root", e)
 				}
 			} else {
 				out = sem.SolveGroup(rel, sopts)
@@ -398,58 +342,32 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 
 	// ---- Phase 1b: isolated clusters. --------------------------------------
 	for ci, c := range mr.Isolated {
-		if memo != nil || warm != nil {
-			ikey := ""
-			if cheap != "" {
-				ikey = cheap + "|s|" + strconv.Itoa(ci)
-				if e, ok := warm.isolated.lookup(ikey); ok {
-					res.IsolatedLabels[c.Name] = e.label
-					res.Counters.Merge(e.counters)
-					continue
-				}
-			}
-			sig := isolatedSignature(c, sopts)
-			var e isolatedEntry
-			var hit bool
-			if memo != nil {
-				if e, hit = memo.lookupIsolated(sig); hit {
-					memo.IsolatedReused++
-				}
-			}
-			if !hit && warm != nil {
-				if e, hit = warm.isolated.lookup(sig); hit && memo != nil {
-					memo.storeIsolated(sig, e.label, e.counters)
-					memo.IsolatedReused++
-				}
-			}
-			if hit {
-				res.IsolatedLabels[c.Name] = e.label
-				res.Counters.Merge(e.counters)
-				if ikey != "" {
-					warm.isolated.store(ikey, e)
-				}
-			} else {
-				var cnt Counters
-				so := sopts
-				so.Counters = &cnt
-				label := sem.LabelIsolated(c, so)
-				res.IsolatedLabels[c.Name] = label
-				res.Counters.Merge(cnt)
-				if memo != nil {
-					memo.storeIsolated(sig, label, cnt)
-					memo.IsolatedComputed++
-				}
-				if warm != nil {
-					e := isolatedEntry{label: label, counters: cnt}
-					warm.isolated.store(sig, e)
-					if ikey != "" {
-						warm.isolated.store(ikey, e)
-					}
-				}
-			}
+		if warm == nil {
+			res.IsolatedLabels[c.Name] = sem.LabelIsolated(c, sopts)
 			continue
 		}
-		res.IsolatedLabels[c.Name] = sem.LabelIsolated(c, sopts)
+		ikey := ""
+		if cheap != "" {
+			ikey = cheap + "|s|" + strconv.Itoa(ci)
+			if e, ok := warm.isolated.lookup(ikey); ok {
+				res.IsolatedLabels[c.Name] = e.label
+				res.Counters.Merge(e.counters)
+				continue
+			}
+		}
+		sig := isolatedSignature(c, sopts)
+		e, hit := warm.isolated.lookup(sig)
+		if !hit {
+			so := sopts
+			so.Counters = &e.counters
+			e.label = sem.LabelIsolated(c, so)
+			warm.isolated.store(sig, e)
+		}
+		res.IsolatedLabels[c.Name] = e.label
+		res.Counters.Merge(e.counters)
+		if ikey != "" {
+			warm.isolated.store(ikey, e)
+		}
 	}
 
 	// ---- Phase 1c: candidate labels for internal nodes (bottom-up). --------

@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"fmt"
 	"testing"
 
 	"qilabel/internal/cluster"
@@ -29,8 +30,8 @@ func TestVerifyVerticalOnCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range res.VerifyVertical(sem) {
-			t.Errorf("%s: %s", d.Name, v)
+		for _, v := range res.VerifyViolations(sem) {
+			t.Errorf("%s: %s", d.Name, v.Detail)
 		}
 	}
 }
@@ -60,7 +61,7 @@ func TestVerifyVerticalDetectsViolations(t *testing.T) {
 		// Swapping alone keeps structural generality (the parent still
 		// covers a superset), so no violation is expected — the structural
 		// half of Definition 5 legitimately accepts it.
-		if v := res.VerifyVertical(sem); len(v) != 0 {
+		if v := res.VerifyViolations(sem); len(v) != 0 {
 			t.Errorf("structural generality should absorb the swap: %v", v)
 		}
 		parent.Label, child.Label = child.Label, parent.Label
@@ -79,8 +80,17 @@ func TestVerifyVerticalDetectsViolations(t *testing.T) {
 		if sibling != nil {
 			saved := sibling.Label
 			sibling.Label = leaves[0].Label
-			if v := res.VerifyVertical(sem); len(v) == 0 {
-				t.Error("sibling homonym not detected")
+			v := res.VerifyViolations(sem)
+			if len(v) != 1 {
+				t.Fatalf("sibling homonym: %d violations, want 1: %v", len(v), v)
+			}
+			want := fmt.Sprintf("siblings share the name %q under %q", sibling.Label, p0.Label)
+			if v[0].Rule != RuleHomonym || v[0].Node != p0.Label || v[0].Detail != want {
+				t.Errorf("sibling homonym violation = %+v, want rule %q node %q detail %q",
+					v[0], RuleHomonym, p0.Label, want)
+			}
+			if got := v[0].String(); got != RuleHomonym+": "+want {
+				t.Errorf("String() = %q", got)
 			}
 			sibling.Label = saved
 		}
@@ -112,7 +122,7 @@ func TestVerifyVerticalForeignLabel(t *testing.T) {
 		}
 		return true
 	})
-	if v := res.VerifyVertical(sem); len(v) != 0 {
+	if v := res.VerifyViolations(sem); len(v) != 0 {
 		t.Errorf("unexpected violations: %v", v)
 	}
 }

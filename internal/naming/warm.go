@@ -192,10 +192,10 @@ type Warm struct {
 
 	shards [warmShards]verdictShard
 
-	// Solve-family caches, keyed by the same content signatures the session
-	// RunMemo uses (groupSignature / isolatedSignature, plus the node
-	// signature RunContext builds): a solve is a pure function of what the
-	// signature serializes and the lexicon epoch.
+	// Solve-family caches, keyed by content signatures (groupSignature /
+	// isolatedSignature, plus the node signature RunContext builds): a
+	// solve is a pure function of what the signature serializes and the
+	// lexicon epoch.
 	groups   warmTable[groupEntry]
 	isolated warmTable[isolatedEntry]
 	nodes    warmTable[nodeEntry]

@@ -169,10 +169,12 @@ func mustGet(t *testing.T, url string) *http.Response {
 
 // TestIngestConcurrentSameDomain hammers one domain from many goroutines
 // (run under -race): every form carries related labels, so the engine
-// must serialize them into a single coherent domain.
+// must serialize them into a single coherent domain. MaxInflight admits
+// every request at once: the test is about the engine's serialization,
+// and the default bound (2×GOMAXPROCS) would answer some of them 503.
 func TestIngestConcurrentSameDomain(t *testing.T) {
-	_, ts := newTestServer(t, Config{Lexicon: ingestLexicon()})
 	const n = 12
+	_, ts := newTestServer(t, Config{Lexicon: ingestLexicon(), MaxInflight: n})
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {

@@ -264,7 +264,9 @@ func TestSessionCapEviction(t *testing.T) {
 }
 
 // TestSessionMatcherDeltaReuse drives a matcher session and checks that
-// the pair-verdict cache shows up in the per-op stats over HTTP.
+// its deltas hit the shared pair-verdict cache, as the /metrics warm
+// section reports it. The test server is private, so no other traffic
+// moves the counter.
 func TestSessionMatcherDeltaReuse(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	created := createSession(t, ts.URL, requestOptions{Matcher: true})
@@ -290,8 +292,13 @@ func TestSessionMatcherDeltaReuse(t *testing.T) {
 			t.Fatalf("add: status %d", resp.StatusCode)
 		}
 	}
-	if last.Stats.PairHits == 0 {
-		t.Fatalf("matcher session shows no pair-verdict reuse: %+v", last.Stats)
+	if last.Stats.Components == 0 {
+		t.Fatalf("matcher session reports no components: %+v", last.Stats)
+	}
+	var snap snapshot
+	doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &snap)
+	if snap.Warm.MatchPairHits == 0 {
+		t.Fatalf("matcher session shows no pair-verdict reuse: %+v", snap.Warm)
 	}
 	var got integrateResponse
 	if resp := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+created.ID+"/result", nil, &got); resp.StatusCode != http.StatusOK {

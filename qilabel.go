@@ -133,14 +133,6 @@ type Config struct {
 	// integrate — and the setting is excluded from Fingerprint and
 	// CacheKey like the other execution-only knobs.
 	DisableWarmCache bool
-	// WarmLabelCap bounds the distinct label analyses a warm Integrator
-	// interns across runs (0: a default of 65536 labels). Excluded from
-	// Fingerprint and CacheKey.
-	WarmLabelCap int
-	// WarmVerdictCap bounds the Relate verdicts the warm Integrator shares
-	// across runs (0: a default of ~1M entries). Excluded from Fingerprint
-	// and CacheKey.
-	WarmVerdictCap int
 
 	// referenceKernels routes the pipeline through the unoptimized
 	// reference kernels: the matcher's exhaustive pairwise pass instead of
@@ -163,12 +155,6 @@ func (c Config) Validate() error {
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("qilabel: negative Parallelism %d", c.Parallelism)
-	}
-	if c.WarmLabelCap < 0 {
-		return fmt.Errorf("qilabel: negative WarmLabelCap %d", c.WarmLabelCap)
-	}
-	if c.WarmVerdictCap < 0 {
-		return fmt.Errorf("qilabel: negative WarmVerdictCap %d", c.WarmVerdictCap)
 	}
 	return nil
 }
@@ -247,18 +233,6 @@ func WithObserver(fn func(StageEvent)) Option {
 // Config.DisableWarmCache. Never affects the resulting labeling.
 func WithoutWarmCache() Option {
 	return func(c *Config) { c.DisableWarmCache = true }
-}
-
-// WithWarmLabelCap bounds the warm Integrator's interned label analyses;
-// see Config.WarmLabelCap.
-func WithWarmLabelCap(n int) Option {
-	return func(c *Config) { c.WarmLabelCap = n }
-}
-
-// WithWarmVerdictCap bounds the warm Integrator's shared Relate verdicts;
-// see Config.WarmVerdictCap.
-func WithWarmVerdictCap(n int) Option {
-	return func(c *Config) { c.WarmVerdictCap = n }
 }
 
 // Result is the outcome of integrating and labeling a set of interfaces.
@@ -456,19 +430,6 @@ type Violation = naming.Violation
 // against those semantics rather than the weaker default.
 func (r *Result) Verify() []Violation {
 	return r.Naming.VerifyViolations(naming.NewSemantics(r.lex))
-}
-
-// VerifyStrings is Verify rendered as the historical plain-string
-// messages.
-//
-// Deprecated: use Verify, which returns typed []Violation values carrying
-// the offending node and the violated rule alongside the detail text;
-// each string here is exactly the corresponding Violation's Detail. The
-// shim stays so text-oriented consumers (scripts scraping labeler output)
-// keep compiling and seeing unchanged content; TestVerifyTypedShim pins
-// the correspondence.
-func (r *Result) VerifyStrings() []string {
-	return r.Naming.VerifyVertical(naming.NewSemantics(r.lex))
 }
 
 // HTML renders the labeled integrated interface as an HTML form: groups

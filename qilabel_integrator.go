@@ -39,8 +39,8 @@ import (
 // integrating corpora that share vocabulary gets cheaper run over run.
 // Every cached fact is a pure function of the inputs and the (frozen)
 // lexicon, so warm results stay byte-identical to cold ones; WarmStats
-// reports hit rates, and Config.DisableWarmCache / WarmLabelCap /
-// WarmVerdictCap control the machinery.
+// reports hit rates, and Config.DisableWarmCache turns the machinery off.
+// Sessions created from the Integrator run on the same caches.
 type Integrator struct {
 	cfg       Config
 	scratch   *match.Scratch
@@ -66,9 +66,9 @@ func NewIntegrator(cfg Config) (*Integrator, error) {
 	}
 	ig := &Integrator{cfg: cfg, scratch: &match.Scratch{}}
 	if !cfg.DisableWarmCache && !cfg.referenceKernels {
-		ig.warm = naming.NewWarm(cfg.Lexicon, cfg.WarmLabelCap, cfg.WarmVerdictCap)
+		ig.warm = naming.NewWarm(cfg.Lexicon, 0, 0)
 		if cfg.UseMatcher {
-			ig.matchWarm = match.NewWarm(cfg.Lexicon, 0, cfg.WarmLabelCap, cfg.WarmVerdictCap)
+			ig.matchWarm = match.NewWarm(cfg.Lexicon, 0, 0, 0)
 		}
 		ig.sources = delta.NewSourceLabelMemo(0)
 	}
@@ -125,8 +125,8 @@ func (ig *Integrator) deltaConfig() delta.Config {
 // the per-source label memo. All zeros when warm caching is disabled.
 type WarmStats struct {
 	// LabelHits / LabelMisses count labels resolved from the intern cache
-	// vs analyzed fresh; LabelsEvicted counts analyses dropped under
-	// WarmLabelCap; LabelsInterned is the current population.
+	// vs analyzed fresh; LabelsEvicted counts analyses dropped under the
+	// intern table's bound; LabelsInterned is the current population.
 	LabelHits, LabelMisses, LabelsEvicted uint64
 	LabelsInterned                        int
 	// VerdictHits / VerdictMisses count shared Relate-cache probes (made
@@ -223,7 +223,7 @@ func (ig *Integrator) IntegrateContext(ctx context.Context, sources []*Tree) (*R
 	// merging, naming) lives in internal/delta, shared with the
 	// incremental Session — one definition, so the one-shot and delta
 	// paths cannot drift apart.
-	out, err := delta.Run(ctx, trees, ig.deltaConfig(), nil, stageDone)
+	out, err := delta.Run(ctx, trees, ig.deltaConfig(), stageDone)
 	if err != nil {
 		return nil, err
 	}
@@ -268,9 +268,10 @@ func (ig *Integrator) IntegrateBatch(ctx context.Context, sets [][]*Tree, parall
 }
 
 // NewSession creates an empty incremental integration session over this
-// configuration. Sessions created from one Integrator share its scratch
-// pools and cached fingerprint; see Session for the delta-equivalence
-// contract.
+// configuration. Every session operation runs the same pipeline as
+// IntegrateContext on this Integrator's warm caches, scratch pools and
+// cached fingerprint, shared with every other session and integration on
+// the handle; see Session for the delta-equivalence contract.
 func (ig *Integrator) NewSession() *Session {
 	return &Session{inner: delta.NewSession(ig.deltaConfig()), ig: ig}
 }

@@ -42,21 +42,17 @@ type Session struct {
 }
 
 // SessionStats profiles the most recent delta operation: total pipeline
-// components (clusters) and how many were reused vs. recomputed, naming
-// group solves answered from the session cache vs. executed, matcher pair
-// verdicts served from cache vs. evaluated, and the operation's duration.
+// components (clusters), how many survived the change with identical
+// member content (reused) vs. changed (recomputed), and the operation's
+// duration. Cache hit rates are not per session: every session runs on its
+// Integrator's shared warm caches, whose counters Integrator.WarmStats
+// reports.
 type SessionStats struct {
 	Op                   string        `json:"op"`
 	Sources              int           `json:"sources"`
 	Components           int           `json:"components"`
 	ComponentsReused     int           `json:"componentsReused"`
 	ComponentsRecomputed int           `json:"componentsRecomputed"`
-	GroupsReused         int           `json:"groupsReused"`
-	GroupsComputed       int           `json:"groupsComputed"`
-	IsolatedReused       int           `json:"isolatedReused"`
-	IsolatedComputed     int           `json:"isolatedComputed"`
-	PairsEvaluated       int           `json:"pairsEvaluated"`
-	PairHits             int           `json:"pairHits"`
 	Duration             time.Duration `json:"-"`
 	DurationMs           float64       `json:"durationMs"`
 }
@@ -69,10 +65,6 @@ type SessionTotals struct {
 	Removes              int64 `json:"removes"`
 	ComponentsReused     int64 `json:"componentsReused"`
 	ComponentsRecomputed int64 `json:"componentsRecomputed"`
-	GroupsReused         int64 `json:"groupsReused"`
-	GroupsComputed       int64 `json:"groupsComputed"`
-	PairsEvaluated       int64 `json:"pairsEvaluated"`
-	PairHits             int64 `json:"pairHits"`
 }
 
 // NewSession creates an empty incremental integration session with the
@@ -143,12 +135,6 @@ func (s *Session) Stats() SessionStats {
 		Components:           st.Components,
 		ComponentsReused:     st.ComponentsReused,
 		ComponentsRecomputed: st.ComponentsRecomputed,
-		GroupsReused:         st.GroupsReused,
-		GroupsComputed:       st.GroupsComputed,
-		IsolatedReused:       st.IsolatedReused,
-		IsolatedComputed:     st.IsolatedComputed,
-		PairsEvaluated:       st.PairsEvaluated,
-		PairHits:             st.PairHits,
 		Duration:             st.Duration,
 		DurationMs:           float64(st.Duration) / float64(time.Millisecond),
 	}
@@ -164,10 +150,6 @@ func (s *Session) Totals() SessionTotals {
 		Removes:              t.Removes,
 		ComponentsReused:     t.ComponentsReused,
 		ComponentsRecomputed: t.ComponentsRecomputed,
-		GroupsReused:         t.GroupsReused,
-		GroupsComputed:       t.GroupsComputed,
-		PairsEvaluated:       t.PairsEvaluated,
-		PairHits:             t.PairHits,
 	}
 }
 

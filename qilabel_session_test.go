@@ -187,15 +187,14 @@ func TestDeltaEquivalenceGolden(t *testing.T) {
 // TestSessionReuse pins that deltas actually reuse work: after adding one
 // source to a warm medium-sized session, the recomputed-component counter
 // stays below the total and reuse is nonzero — the observable claim
-// behind BENCH_pr6.
+// behind BENCH_pr6. The session runs on a test-owned Integrator, so the
+// warm-cache counters it moves belong to the session alone.
 func TestSessionReuse(t *testing.T) {
 	ctx := context.Background()
 	for _, matcher := range []bool{false, true} {
 		name := "annotated"
-		var opts []Option
 		if matcher {
 			name = "matcher"
-			opts = append(opts, WithMatcher())
 		}
 		t.Run(name, func(t *testing.T) {
 			// Dropout matters: each source covers a subset of the domain's
@@ -210,16 +209,18 @@ func TestSessionReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := NewSession(opts...)
+			ig, err := NewIntegrator(Config{UseMatcher: matcher})
 			if err != nil {
 				t.Fatal(err)
 			}
+			sess := ig.NewSession()
 			for _, src := range sources[:len(sources)-1] {
 				if _, err := sess.AddSource(ctx, src); err != nil {
 					t.Fatal(err)
 				}
 			}
 			last := sources[len(sources)-1]
+			before := ig.WarmStats()
 			h, err := sess.AddSource(ctx, last)
 			if err != nil {
 				t.Fatal(err)
@@ -234,24 +235,27 @@ func TestSessionReuse(t *testing.T) {
 			if st.ComponentsReused == 0 {
 				t.Errorf("single-source add reused nothing: %+v", st)
 			}
-			if st.GroupsReused+st.IsolatedReused == 0 {
-				t.Errorf("single-source add reused no naming solutions: %+v", st)
+			added := ig.WarmStats()
+			if added.SolveHits == before.SolveHits {
+				t.Errorf("single-source add reused no naming solutions: %+v", added)
 			}
-			if matcher && st.PairHits == 0 {
-				t.Errorf("matcher add served no pair verdicts from cache: %+v", st)
+			if matcher && added.MatchPairHits == before.MatchPairHits {
+				t.Errorf("matcher add served no pair verdicts from cache: %+v", added)
 			}
 
 			// Remove the source again: back to the previous state, with
-			// every naming solution answered from the memo.
+			// every naming solution answered from the warm cache.
 			if err := sess.RemoveSource(ctx, h); err != nil {
 				t.Fatal(err)
 			}
-			st = sess.Stats()
-			if st.GroupsComputed+st.IsolatedComputed != 0 {
-				t.Errorf("remove back to a seen state solved groups afresh: %+v", st)
+			removed := ig.WarmStats()
+			if removed.SolveMisses != added.SolveMisses {
+				t.Errorf("remove back to a seen state solved %d groups afresh",
+					removed.SolveMisses-added.SolveMisses)
 			}
-			if matcher && st.PairsEvaluated != 0 {
-				t.Errorf("remove back to a seen state evaluated pairs afresh: %+v", st)
+			if matcher && removed.MatchPairMisses != added.MatchPairMisses {
+				t.Errorf("remove back to a seen state evaluated %d pairs afresh",
+					removed.MatchPairMisses-added.MatchPairMisses)
 			}
 		})
 	}

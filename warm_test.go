@@ -2,6 +2,7 @@ package qilabel
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -131,9 +132,12 @@ func TestWarmEquivalence(t *testing.T) {
 
 // TestWarmStress hammers one Integrator from 32 goroutines with four
 // overlapping corpora (one vocabulary, stepped seeds): every concurrent
-// warm result must match its cold reference byte for byte. Run under
-// -race, this drives every cache path — intern, verdict shards, solve
-// tables, whole-corpus replay, generation rotation — under contention.
+// warm result must match its cold reference byte for byte. A quarter of
+// the goroutines run delta-session lifecycles instead of integrations, so
+// sessions share the matcher and naming caches with each other and with
+// one-shot runs. Run under -race, this drives every cache path — intern,
+// verdict shards, solve tables, whole-corpus replay, generation rotation —
+// under contention.
 func TestWarmStress(t *testing.T) {
 	cfg := synth.Config{Seed: 11, Domain: "warm-stress", Sources: 6, Concepts: 10,
 		GroupFanout: 3, Depth: 2, InstanceRatio: 0.5,
@@ -173,6 +177,13 @@ func TestWarmStress(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < iters; k++ {
 				i := (g + k) % len(corpora)
+				if g%4 == 3 {
+					if err := stressSession(ig, coldIG, corpora[i]); err != nil {
+						errs <- fmt.Errorf("goroutine %d iter %d corpus %d: %w", g, k, i, err)
+						return
+					}
+					continue
+				}
 				res, err := ig.Integrate(corpora[i])
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d iter %d: %w", g, k, err)
@@ -194,6 +205,43 @@ func TestWarmStress(t *testing.T) {
 	if st.LabelHits == 0 || st.VerdictHits+st.MatchPairHits == 0 {
 		t.Errorf("stress run never hit the warm caches: %+v", st)
 	}
+}
+
+// stressSession runs one session lifecycle over a corpus on the shared
+// Integrator — add every source one at a time, remove the last, update the
+// first to the removed one — and requires the final Result to equal a
+// from-scratch integration of the session's sources on the cold handle.
+func stressSession(ig, coldIG *Integrator, sources []*Tree) error {
+	ctx := context.Background()
+	sess := ig.NewSession()
+	hashes := make([]string, len(sources))
+	for j, src := range sources {
+		h, err := sess.AddSource(ctx, src)
+		if err != nil {
+			return fmt.Errorf("add %d: %w", j, err)
+		}
+		hashes[j] = h
+	}
+	last := len(sources) - 1
+	if err := sess.RemoveSource(ctx, hashes[last]); err != nil {
+		return fmt.Errorf("remove: %w", err)
+	}
+	if _, err := sess.UpdateSource(ctx, hashes[0], sources[last]); err != nil {
+		return fmt.Errorf("update: %w", err)
+	}
+	got, err := sess.Result()
+	if err != nil {
+		return err
+	}
+	final := sess.Sources()
+	want, err := coldIG.Integrate(final)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(warmGoldenBytes(nil, "stress", final, got), warmGoldenBytes(nil, "stress", final, want)) {
+		return fmt.Errorf("session result diverges from a from-scratch integration")
+	}
+	return nil
 }
 
 // TestWarmEpochResetExactlyOnce pins the warm caches' invalidation
