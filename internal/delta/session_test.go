@@ -40,11 +40,11 @@ func testConfig(matcher bool) Config {
 // so their counters measure the session alone.
 func warmConfig(matcher bool) Config {
 	cfg := testConfig(matcher)
-	cfg.Warm = naming.NewWarm(cfg.Lexicon, 0, 0)
+	cfg.Warm = naming.NewWarm(cfg.Lexicon)
 	if matcher {
-		cfg.MatchWarm = match.NewWarm(cfg.Lexicon, 0, 0, 0)
+		cfg.MatchWarm = match.NewWarm(cfg.Lexicon, 0)
 	}
-	cfg.SourceLabels = NewSourceLabelMemo(0)
+	cfg.SourceLabels = NewSourceLabelMemo()
 	return cfg
 }
 

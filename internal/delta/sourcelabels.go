@@ -2,15 +2,15 @@
 // cache (naming.Warm) amortizes analyzing a label; this memo amortizes
 // *finding* the labels — re-submitted sources (batch dedupe misses, session
 // rebuilds, overlapping corpora) skip the tree walk and per-occurrence
-// dedup entirely and contribute their cached distinct-label list.
+// dedup entirely and contribute their cached distinct-label list. The memo
+// is a twogen two-generation table.
 package delta
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"qilabel/internal/schema"
+	"qilabel/internal/twogen"
 )
 
 // DefaultSourceLabelCap bounds the trees a SourceLabelMemo remembers.
@@ -22,32 +22,16 @@ const DefaultSourceLabelCap = 4096
 // content the hash covers, so reuse cannot change which labels a run
 // analyzes — only skip re-collecting them.
 //
-// The memo is safe for concurrent use and bounded by the two-generation
-// scheme shared with naming.Warm: inserts land in the current generation,
-// which becomes the old one when it reaches half the cap; hits in the old
-// generation promote. One memo must only ever see one UseMatcher setting
-// (the label list depends on it); the Integrator owns exactly one memo per
-// fixed configuration, which guarantees that.
+// The memo is safe for concurrent use. One memo must only ever see one
+// UseMatcher setting (the label list depends on it); the Integrator owns
+// exactly one memo per fixed configuration, which guarantees that.
 type SourceLabelMemo struct {
-	cap int
-
-	mu  sync.Mutex
-	cur map[string][]string
-	old map[string][]string
-
-	hits, misses atomic.Uint64
+	trees *twogen.Table[string, []string]
 }
 
-// NewSourceLabelMemo creates a memo bounded to cap trees (0 or negative:
-// DefaultSourceLabelCap).
-func NewSourceLabelMemo(cap int) *SourceLabelMemo {
-	if cap <= 0 {
-		cap = DefaultSourceLabelCap
-	}
-	if cap < 2 {
-		cap = 2
-	}
-	return &SourceLabelMemo{cap: cap, cur: make(map[string][]string)}
+// NewSourceLabelMemo creates a memo bounded to DefaultSourceLabelCap trees.
+func NewSourceLabelMemo() *SourceLabelMemo {
+	return &SourceLabelMemo{trees: twogen.NewTable[string, []string](DefaultSourceLabelCap)}
 }
 
 // SourceLabelStats is a snapshot of the memo's counters.
@@ -58,48 +42,20 @@ type SourceLabelStats struct {
 
 // Stats snapshots the memo counters and population.
 func (m *SourceLabelMemo) Stats() SourceLabelStats {
-	st := SourceLabelStats{Hits: m.hits.Load(), Misses: m.misses.Load()}
-	m.mu.Lock()
-	st.Trees = len(m.cur) + len(m.old)
-	m.mu.Unlock()
-	return st
+	st := m.trees.Stats()
+	return SourceLabelStats{Hits: st.Hits, Misses: st.Misses, Trees: st.Len}
 }
 
 // labels returns the distinct labels of the (expanded) tree whose
 // pre-expansion canonical hash is hash, from the memo when possible. The
 // returned slice is shared and must not be mutated.
 func (m *SourceLabelMemo) labels(t *schema.Tree, hash string, useMatcher bool) []string {
-	m.mu.Lock()
-	if ls, ok := m.cur[hash]; ok {
-		m.mu.Unlock()
-		m.hits.Add(1)
+	if ls, ok := m.trees.Get(hash); ok {
 		return ls
 	}
-	if ls, ok := m.old[hash]; ok {
-		delete(m.old, hash)
-		m.store(hash, ls)
-		m.mu.Unlock()
-		m.hits.Add(1)
-		return ls
-	}
-	m.mu.Unlock()
-	m.misses.Add(1)
 	ls := treeLabels(t, useMatcher)
-	m.mu.Lock()
-	m.store(hash, ls)
-	m.mu.Unlock()
+	m.trees.Put(hash, ls)
 	return ls
-}
-
-// store inserts under m.mu, rotating generations at half the cap.
-func (m *SourceLabelMemo) store(hash string, ls []string) {
-	if len(m.cur) >= m.cap/2 {
-		if _, ok := m.cur[hash]; !ok {
-			m.old = m.cur
-			m.cur = make(map[string][]string, m.cap/2)
-		}
-	}
-	m.cur[hash] = ls
 }
 
 // treeLabels collects the distinct labels one (expanded) source tree feeds

@@ -63,7 +63,7 @@ func TestAssignIncrementalEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			trees := incrementalCorpus(t, seed, 6)
-			w := NewWarm(nil, 0, 0, 0)
+			w := NewWarm(nil, 0)
 			ctx := context.Background()
 			for n := 1; n <= len(trees); n++ {
 				cold := cloneTrees(trees[:n])
@@ -110,7 +110,7 @@ func TestAssignIncrementalEquivalence(t *testing.T) {
 // block key and pair verdict from the warm cache.
 func TestAssignWarmReuse(t *testing.T) {
 	trees := incrementalCorpus(t, 7, 5)
-	w := NewWarm(nil, 0, 0, 0)
+	w := NewWarm(nil, 0)
 	ctx := context.Background()
 	if _, err := AssignContext(ctx, cloneTrees(trees), Options{Warm: w}); err != nil {
 		t.Fatal(err)

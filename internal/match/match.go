@@ -176,7 +176,7 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 		warm = nil
 	}
 	if warm != nil {
-		warm.ensureEpoch()
+		warm.epoch()
 	}
 
 	// Whole-corpus fast path: a remembered corpus fingerprint replays the
@@ -185,7 +185,7 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 	akey := ""
 	if warm != nil && opts.WarmKey != "" {
 		akey = opts.WarmKey + "|a|" + prefix
-		if e, ok := warm.assignLookup(akey); ok {
+		if e, ok := warm.assigns.Get(akey); ok {
 			if applyAssignment(trees, e.names) {
 				return e.n, nil
 			}
@@ -194,17 +194,14 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 
 	fields := collectFields(trees)
 
-	var ids []int32 // stable warm content IDs, aligned with fields
-	if warm != nil {
-		ids = make([]int32, len(fields))
-	}
-
 	// The shared analysis table normalizes every field label once; each
 	// worker's Semantics reads it instead of re-analyzing into a cold
 	// cache. The reference pass skips it (and the block-key index) so it
 	// stays a true pre-optimization baseline.
 	var analysis *naming.Analysis
 	var keys [][]string
+	var ids []int32   // stable warm content IDs, aligned with fields
+	var ep *warmEpoch // the warm tables ids belong to
 	var index map[string][]int
 	if !opts.DisableBlocking {
 		analysis = opts.Analysis
@@ -221,20 +218,17 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 		// Block-key index: key -> fields carrying it, in index order. With
 		// a warm cache, contents seen by an earlier run skip the derivation.
 		keySem := analysis.Semantics()
-		keys = make([][]string, len(fields))
+		derive := func(f *fieldInfo) []string { return blockKeys(keySem, f, opts.MinInstanceOverlap) }
+		if warm != nil {
+			ep, keys, ids = warm.resolve(fields, derive)
+		} else {
+			keys = make([][]string, len(fields))
+			for i := range fields {
+				keys[i] = derive(&fields[i])
+			}
+		}
 		index = make(map[string][]int)
 		for i := range fields {
-			if warm != nil {
-				ck := contentKey(&fields[i])
-				ks, id, ok := warm.fieldKeys(ck)
-				if !ok {
-					ks = blockKeys(keySem, &fields[i], opts.MinInstanceOverlap)
-					id = warm.internKeys(ck, ks)
-				}
-				keys[i], ids[i] = ks, id
-			} else {
-				keys[i] = blockKeys(keySem, &fields[i], opts.MinInstanceOverlap)
-			}
 			for _, k := range keys[i] {
 				index[k] = append(index[k], i)
 			}
@@ -301,10 +295,10 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 			var matched bool
 			if warm != nil {
 				key := pairIDKey(ids[i], ids[j])
-				v, ok := warm.pair(key)
+				v, ok := ep.pairs.Get(key)
 				if !ok {
 					v = matchFields(sems[w], fi, &fields[j], opts.MinInstanceOverlap)
-					warm.storePair(key, v)
+					ep.pairs.Put(key, v)
 				}
 				matched = v
 			} else {
@@ -330,7 +324,7 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 		for i := range fields {
 			names[i] = fields[i].leaf.Cluster
 		}
-		warm.assignStore(akey, assignEntry{names: names, n: n})
+		warm.assigns.Put(akey, assignEntry{names: names, n: n})
 	}
 	return n, nil
 }

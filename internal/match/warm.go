@@ -2,19 +2,22 @@
 // Integrator, serves every run on that handle — one-shot integrations and
 // delta-session operations alike, concurrently — with two pure facts (a
 // field's block keys, a pair's match verdict) cached under field-content
-// keys, bounded, concurrency-safe and epoch-invalidated. A session that
-// adds one source to a seen set therefore re-evaluates only the pairs the
-// new source's fields take part in.
+// keys, plus whole-corpus assignments. Every table is a twogen
+// two-generation cache; this file owns only the lexicon epoch, the
+// content-ID assignment and the Stats mapping. A session that adds one
+// source to a seen set therefore re-evaluates only the pairs the new
+// source's fields take part in.
 package match
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"qilabel/internal/lexicon"
+	"qilabel/internal/twogen"
 )
 
 // contentKey serializes exactly the field content the similarity signals
@@ -41,18 +44,16 @@ func contentKey(f *fieldInfo) string {
 
 // Default capacity bounds for a matcher Warm cache. The key cap bounds
 // remembered field contents (block keys plus a stable ID each); the pair
-// cap bounds match verdicts (one byte of payload per 8-byte key).
+// cap bounds match verdicts (one byte of payload per 8-byte key); the
+// assign cap bounds remembered whole-corpus assignments.
 const (
-	DefaultWarmKeyCap  = 1 << 16
-	DefaultWarmPairCap = 1 << 20
+	DefaultWarmKeyCap    = 1 << 16
+	DefaultWarmPairCap   = 1 << 20
+	DefaultWarmAssignCap = 1 << 10
 )
 
-// matchWarmShards spreads the verdict map over independently locked shards
-// so the parallel pairwise pass rarely contends.
-const matchWarmShards = 64
-
 // warmKey is one remembered field content: its block keys and the stable
-// ID verdict keys are built from. IDs are never reused within an epoch
+// ID verdict keys are built from. IDs are never reissued within an epoch
 // (the counter survives evictions), so a verdict keyed by two IDs can only
 // ever mean one content pair.
 type warmKey struct {
@@ -60,12 +61,15 @@ type warmKey struct {
 	id   int32
 }
 
-// pairShard is one shard of the verdict cache, bounded by the same
-// two-generation scheme as the key table.
-type pairShard struct {
-	mu  sync.RWMutex
-	cur map[uint64]bool
-	old map[uint64]bool
+// warmEpoch is the ID-keyed half of a Warm: the content table, the
+// verdicts keyed by its IDs, and the ID counter. A reset installs a fresh
+// epoch instead of clearing this one, so a run that resolved its IDs here
+// keeps a consistent ID space and verdict cache until it finishes.
+type warmEpoch struct {
+	gen    uint64 // lexicon generation the contents belong to
+	keys   *twogen.Table[string, warmKey]
+	pairs  *twogen.Sharded[bool]
+	nextID atomic.Int64
 }
 
 // assignEntry is one cached whole-corpus assignment: the cluster name of
@@ -74,9 +78,6 @@ type assignEntry struct {
 	names []string
 	n     int
 }
-
-// DefaultWarmAssignCap bounds remembered whole-corpus assignments.
-const DefaultWarmAssignCap = 1 << 10
 
 // WarmStats is a point-in-time snapshot of a matcher Warm cache.
 type WarmStats struct {
@@ -97,7 +98,8 @@ type WarmStats struct {
 	AssignHits   uint64
 	AssignMisses uint64
 	Assigns      int
-	// EpochResets counts wholesale invalidations after a lexicon mutation.
+	// EpochResets counts wholesale invalidations after a lexicon mutation
+	// or an exhausted content-ID space.
 	EpochResets uint64
 }
 
@@ -107,219 +109,102 @@ type WarmStats struct {
 // pure functions of (content, lexicon, threshold), so reuse can never
 // change an assignment, only skip recomputing it.
 //
-// Bounding and invalidation mirror naming.Warm: two-generation rotation at
-// half the cap with promotion on old-generation hits, and a lexicon-epoch
-// check that drops everything (including verdicts, whose ID keys would
-// otherwise dangle after the ID counter restarts) when the lexicon mutates.
+// Invalidation mirrors naming.Warm: a lexicon-epoch check drops everything
+// (verdicts included, whose ID keys would otherwise dangle after the ID
+// counter restarts) when the lexicon mutates.
 //
 // A Warm is safe for concurrent use; one Warm serves one (lexicon,
 // threshold) configuration — AssignContext ignores it on a mismatch.
 type Warm struct {
 	lex        *lexicon.Lexicon
 	minOverlap float64
-	keyCap     int
-	pairCap    int // per shard
-
-	gen atomic.Uint64 // lexicon generation the contents belong to
-
-	mu     sync.RWMutex // guards cur/old/nextID
-	cur    map[string]warmKey
-	old    map[string]warmKey
-	nextID int32
-
-	shards [matchWarmShards]pairShard
+	ep         atomic.Pointer[warmEpoch]
 
 	// Whole-corpus assignment cache, keyed by Options.WarmKey (the caller's
 	// fingerprint of the exact canonical source content plus every
 	// assignment-affecting option). A hit replays the leaf->cluster vector
 	// and skips the pairwise pass entirely; the content-keyed tables above
 	// still accelerate misses.
-	amu  sync.RWMutex
-	aCur map[string]assignEntry
-	aOld map[string]assignEntry
+	assigns *twogen.Table[string, assignEntry]
 
-	keyHits, keyMisses       atomic.Uint64
-	pairHits, pairMisses     atomic.Uint64
-	assignHits, assignMisses atomic.Uint64
-	epochResets              atomic.Uint64
+	epochResets atomic.Uint64
 }
 
 // NewWarm creates a matcher warm cache over the given lexicon (nil: the
 // embedded default) and instance-overlap threshold (non-positive: the
-// matcher's 0.5 default). keyCap bounds remembered field contents, pairCap
-// the verdict entries; zero or negative caps select the defaults.
-func NewWarm(lex *lexicon.Lexicon, minOverlap float64, keyCap, pairCap int) *Warm {
+// matcher's 0.5 default), sized by the DefaultWarm*Cap constants.
+func NewWarm(lex *lexicon.Lexicon, minOverlap float64) *Warm {
 	if lex == nil {
 		lex = lexicon.Default()
 	}
 	if minOverlap <= 0 {
 		minOverlap = 0.5
 	}
-	if keyCap <= 0 {
-		keyCap = DefaultWarmKeyCap
-	}
-	if keyCap < 2 {
-		keyCap = 2
-	}
-	if pairCap <= 0 {
-		pairCap = DefaultWarmPairCap
-	}
-	perShard := pairCap / matchWarmShards
-	if perShard < 2 {
-		perShard = 2
-	}
 	w := &Warm{
 		lex:        lex,
 		minOverlap: minOverlap,
-		keyCap:     keyCap,
-		pairCap:    perShard,
-		cur:        make(map[string]warmKey),
+		assigns:    twogen.NewTable[string, assignEntry](DefaultWarmAssignCap),
 	}
-	w.gen.Store(lex.Generation())
+	w.ep.Store(&warmEpoch{
+		gen:   lex.Generation(),
+		keys:  twogen.NewTable[string, warmKey](DefaultWarmKeyCap),
+		pairs: twogen.NewSharded[bool](DefaultWarmPairCap),
+	})
 	return w
 }
 
-// ensureEpoch drops every cached fact if the lexicon mutated since the
-// last run (the sequential mutate-then-integrate pattern; mutating
-// concurrently with runs is outside the documented contract).
-func (w *Warm) ensureEpoch() {
-	g := w.lex.Generation()
-	if w.gen.Load() == g {
-		return
+// epoch returns the current ID-keyed tables, first dropping every cached
+// fact if the lexicon mutated since they were filled (the sequential
+// mutate-then-integrate pattern; mutating concurrently with runs is
+// outside the documented contract).
+func (w *Warm) epoch() *warmEpoch {
+	ep := w.ep.Load()
+	if g := w.lex.Generation(); ep.gen != g {
+		w.renew(ep, g)
+		ep = w.ep.Load()
 	}
-	w.mu.Lock()
-	if w.gen.Load() != g {
-		w.reset(g)
-	}
-	w.mu.Unlock()
+	return ep
 }
 
-// reset clears both tables and restarts the ID space; callers hold w.mu.
-// Verdicts must go with the keys: a restarted ID counter would otherwise
-// re-issue IDs that stale verdict entries still mean old contents by.
-func (w *Warm) reset(gen uint64) {
-	w.cur = make(map[string]warmKey)
-	w.old = nil
-	w.nextID = 0
-	for i := range w.shards {
-		sh := &w.shards[i]
-		sh.mu.Lock()
-		sh.cur = nil
-		sh.old = nil
-		sh.mu.Unlock()
+// renew replaces ep with fresh ID-keyed tables for lexicon generation gen,
+// unless a concurrent caller already replaced it; a generation change also
+// drops the assignment table.
+func (w *Warm) renew(ep *warmEpoch, gen uint64) {
+	fresh := &warmEpoch{gen: gen, keys: ep.keys.Renew(), pairs: ep.pairs.Renew()}
+	if !w.ep.CompareAndSwap(ep, fresh) {
+		return
 	}
-	w.amu.Lock()
-	w.aCur = nil
-	w.aOld = nil
-	w.amu.Unlock()
-	w.gen.Store(gen)
+	if gen != ep.gen {
+		w.assigns.Reset()
+	}
 	w.epochResets.Add(1)
 }
 
-// assignLookup probes the whole-corpus assignment cache. Old-generation
-// hits promote.
-func (w *Warm) assignLookup(key string) (assignEntry, bool) {
-	w.amu.RLock()
-	if e, ok := w.aCur[key]; ok {
-		w.amu.RUnlock()
-		w.assignHits.Add(1)
-		return e, true
-	}
-	e, ok := w.aOld[key]
-	w.amu.RUnlock()
-	if !ok {
-		w.assignMisses.Add(1)
-		return assignEntry{}, false
-	}
-	w.assignHits.Add(1)
-	w.amu.Lock()
-	if _, again := w.aCur[key]; !again {
-		delete(w.aOld, key)
-		w.assignStoreLocked(key, e)
-	}
-	w.amu.Unlock()
-	return e, true
-}
-
-// assignStore publishes a freshly computed whole-corpus assignment.
-func (w *Warm) assignStore(key string, e assignEntry) {
-	w.amu.Lock()
-	w.assignStoreLocked(key, e)
-	w.amu.Unlock()
-}
-
-// assignStoreLocked inserts under w.amu, rotating at half the cap.
-func (w *Warm) assignStoreLocked(key string, e assignEntry) {
-	if w.aCur == nil {
-		w.aCur = make(map[string]assignEntry)
-	}
-	if len(w.aCur) >= DefaultWarmAssignCap/2 {
-		if _, ok := w.aCur[key]; !ok {
-			w.aOld = w.aCur
-			w.aCur = make(map[string]assignEntry)
+// resolve returns the block keys and stable content ID of every field,
+// deriving keys only for contents no earlier run interned, and the epoch
+// whose pair cache the IDs key into. All IDs come from that one epoch:
+// when its ID space runs out, a fresh epoch is installed and every field
+// is resolved again, so no ID is ever issued twice to the contents one run
+// holds. A concurrent run may intern the same content meanwhile; the first
+// insert wins so every run shares one ID per content.
+func (w *Warm) resolve(fields []fieldInfo, derive func(*fieldInfo) []string) (*warmEpoch, [][]string, []int32) {
+	ep := w.epoch()
+	keys := make([][]string, len(fields))
+	ids := make([]int32, len(fields))
+	for i := range fields {
+		ck := contentKey(&fields[i])
+		e, ok := ep.keys.Get(ck)
+		if !ok {
+			id := ep.nextID.Add(1) - 1
+			if id > math.MaxInt32 {
+				w.renew(ep, ep.gen)
+				return w.resolve(fields, derive)
+			}
+			e, _ = ep.keys.GetOrPut(ck, warmKey{keys: derive(&fields[i]), id: int32(id)})
 		}
+		keys[i], ids[i] = e.keys, e.id
 	}
-	w.aCur[key] = e
-}
-
-// fieldKeys probes the key table for a field content, returning its block
-// keys and stable ID. Old-generation hits promote.
-func (w *Warm) fieldKeys(ckey string) ([]string, int32, bool) {
-	w.mu.RLock()
-	if e, ok := w.cur[ckey]; ok {
-		w.mu.RUnlock()
-		w.keyHits.Add(1)
-		return e.keys, e.id, true
-	}
-	e, ok := w.old[ckey]
-	w.mu.RUnlock()
-	if !ok {
-		w.keyMisses.Add(1)
-		return nil, 0, false
-	}
-	w.keyHits.Add(1)
-	w.mu.Lock()
-	if _, again := w.cur[ckey]; !again {
-		delete(w.old, ckey)
-		w.intern(ckey, e)
-	}
-	w.mu.Unlock()
-	return e.keys, e.id, true
-}
-
-// internKeys stores freshly derived block keys and returns the content's
-// stable ID. A concurrent run may have interned the same content meanwhile;
-// its entry wins so every run shares one ID per content.
-func (w *Warm) internKeys(ckey string, keys []string) int32 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if e, ok := w.cur[ckey]; ok {
-		return e.id
-	}
-	if e, ok := w.old[ckey]; ok {
-		delete(w.old, ckey)
-		w.intern(ckey, e)
-		return e.id
-	}
-	if w.nextID < 0 { // ID space exhausted: start a fresh epoch
-		w.reset(w.gen.Load())
-	}
-	e := warmKey{keys: keys, id: w.nextID}
-	w.nextID++
-	w.intern(ckey, e)
-	return e.id
-}
-
-// intern inserts into the current generation, rotating at half the cap;
-// callers hold w.mu.
-func (w *Warm) intern(ckey string, e warmKey) {
-	if len(w.cur) >= w.keyCap/2 {
-		if _, ok := w.cur[ckey]; !ok {
-			w.old = w.cur
-			w.cur = make(map[string]warmKey, w.keyCap/2)
-		}
-	}
-	w.cur[ckey] = e
+	return ep, keys, ids
 }
 
 // pairIDKey builds the order-independent verdict key of two content IDs
@@ -331,75 +216,20 @@ func pairIDKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-// pair probes the verdict cache. Old-generation hits promote.
-func (w *Warm) pair(key uint64) (bool, bool) {
-	sh := &w.shards[(key^(key>>32))%matchWarmShards]
-	sh.mu.RLock()
-	if v, ok := sh.cur[key]; ok {
-		sh.mu.RUnlock()
-		w.pairHits.Add(1)
-		return v, true
-	}
-	v, ok := sh.old[key]
-	sh.mu.RUnlock()
-	if !ok {
-		w.pairMisses.Add(1)
-		return false, false
-	}
-	w.pairHits.Add(1)
-	sh.mu.Lock()
-	if _, again := sh.cur[key]; !again {
-		sh.storeLocked(key, v, w)
-	}
-	sh.mu.Unlock()
-	return v, true
-}
-
-// storePair publishes a freshly evaluated verdict.
-func (w *Warm) storePair(key uint64, v bool) {
-	sh := &w.shards[(key^(key>>32))%matchWarmShards]
-	sh.mu.Lock()
-	sh.storeLocked(key, v, w)
-	sh.mu.Unlock()
-}
-
-// storeLocked inserts under the shard lock, rotating at half the per-shard
-// cap.
-func (sh *pairShard) storeLocked(key uint64, v bool, w *Warm) {
-	if sh.cur == nil {
-		sh.cur = make(map[uint64]bool)
-	}
-	if len(sh.cur) >= w.pairCap/2 {
-		if _, ok := sh.cur[key]; !ok {
-			sh.old = sh.cur
-			sh.cur = make(map[uint64]bool)
-		}
-	}
-	sh.cur[key] = v
-}
-
 // Stats snapshots the cache counters and populations.
 func (w *Warm) Stats() WarmStats {
-	st := WarmStats{
-		KeyHits:      w.keyHits.Load(),
-		KeyMisses:    w.keyMisses.Load(),
-		PairHits:     w.pairHits.Load(),
-		PairMisses:   w.pairMisses.Load(),
-		AssignHits:   w.assignHits.Load(),
-		AssignMisses: w.assignMisses.Load(),
+	ep := w.ep.Load()
+	keys, pairs, assigns := ep.keys.Stats(), ep.pairs.Stats(), w.assigns.Stats()
+	return WarmStats{
+		KeyHits:      keys.Hits,
+		KeyMisses:    keys.Misses,
+		PairHits:     pairs.Hits,
+		PairMisses:   pairs.Misses,
+		Keys:         keys.Len,
+		Pairs:        pairs.Len,
+		AssignHits:   assigns.Hits,
+		AssignMisses: assigns.Misses,
+		Assigns:      assigns.Len,
 		EpochResets:  w.epochResets.Load(),
 	}
-	w.mu.RLock()
-	st.Keys = len(w.cur) + len(w.old)
-	w.mu.RUnlock()
-	w.amu.RLock()
-	st.Assigns = len(w.aCur) + len(w.aOld)
-	w.amu.RUnlock()
-	for i := range w.shards {
-		sh := &w.shards[i]
-		sh.mu.RLock()
-		st.Pairs += len(sh.cur) + len(sh.old)
-		sh.mu.RUnlock()
-	}
-	return st
 }

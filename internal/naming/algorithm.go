@@ -225,7 +225,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		warm = nil
 	}
 	if warm != nil {
-		warm.ensureEpoch()
+		warm.epoch()
 	}
 	// Cheap positional keys: with a corpus fingerprint, every unit's outcome
 	// is additionally cached under (fingerprint, unit index) — the pipeline
@@ -247,7 +247,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 			gkey := ""
 			if cheap != "" {
 				gkey = cheap + "|g|" + strconv.Itoa(i)
-				if e, ok := warm.groups.lookup(gkey); ok {
+				if e, ok := warm.groups.Get(gkey); ok {
 					groupOuts[i] = e.outcomeFor(g)
 					groupCounters[i] = e.counters
 					continue
@@ -255,11 +255,11 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 			}
 			rels[i] = cluster.BuildRelation(g, ifaces)
 			sigs[i] = groupSignature(g, rels[i], sopts)
-			if e, ok := warm.groups.lookup(sigs[i]); ok {
+			if e, ok := warm.groups.Get(sigs[i]); ok {
 				groupOuts[i] = e.outcomeFor(g)
 				groupCounters[i] = e.counters
 				if gkey != "" {
-					warm.groups.store(gkey, e)
+					warm.groups.Put(gkey, e)
 				}
 				continue
 			}
@@ -276,9 +276,9 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		}
 		for _, i := range miss {
 			e := groupEntry{outcome: groupOuts[i], counters: groupCounters[i]}
-			warm.groups.store(sigs[i], e)
+			warm.groups.Put(sigs[i], e)
 			if cheap != "" {
-				warm.groups.store(cheap+"|g|"+strconv.Itoa(i), e)
+				warm.groups.Put(cheap+"|g|"+strconv.Itoa(i), e)
 			}
 		}
 	} else {
@@ -305,7 +305,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		var out *GroupOutcome
 		rootCheap := false
 		if cheap != "" {
-			if e, ok := warm.groups.lookup(cheap + "|g|root"); ok {
+			if e, ok := warm.groups.Get(cheap + "|g|root"); ok {
 				out = e.outcomeFor(mr.Root)
 				res.Counters.Merge(e.counters)
 				rootCheap = true
@@ -315,7 +315,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 			rel := cluster.BuildRelation(mr.Root, ifaces)
 			if warm != nil {
 				sig := groupSignature(mr.Root, rel, sopts)
-				e, hit := warm.groups.lookup(sig)
+				e, hit := warm.groups.Get(sig)
 				if hit {
 					out = e.outcomeFor(mr.Root)
 				} else {
@@ -323,11 +323,11 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 					so.Counters = &e.counters
 					out = sem.SolveGroup(rel, so)
 					e.outcome = out
-					warm.groups.store(sig, e)
+					warm.groups.Put(sig, e)
 				}
 				res.Counters.Merge(e.counters)
 				if cheap != "" {
-					warm.groups.store(cheap+"|g|root", e)
+					warm.groups.Put(cheap+"|g|root", e)
 				}
 			} else {
 				out = sem.SolveGroup(rel, sopts)
@@ -349,24 +349,24 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		ikey := ""
 		if cheap != "" {
 			ikey = cheap + "|s|" + strconv.Itoa(ci)
-			if e, ok := warm.isolated.lookup(ikey); ok {
+			if e, ok := warm.isolated.Get(ikey); ok {
 				res.IsolatedLabels[c.Name] = e.label
 				res.Counters.Merge(e.counters)
 				continue
 			}
 		}
 		sig := isolatedSignature(c, sopts)
-		e, hit := warm.isolated.lookup(sig)
+		e, hit := warm.isolated.Get(sig)
 		if !hit {
 			so := sopts
 			so.Counters = &e.counters
 			e.label = sem.LabelIsolated(c, so)
-			warm.isolated.store(sig, e)
+			warm.isolated.Put(sig, e)
 		}
 		res.IsolatedLabels[c.Name] = e.label
 		res.Counters.Merge(e.counters)
 		if ikey != "" {
-			warm.isolated.store(ikey, e)
+			warm.isolated.Put(ikey, e)
 		}
 	}
 
@@ -389,7 +389,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	work := make([]int, 0, len(internals))
 	for i := range internals {
 		if cheap != "" {
-			if e, ok := warm.nodes.lookup(cheap + "|n|" + strconv.Itoa(i)); ok {
+			if e, ok := warm.nodes.Get(cheap + "|n|" + strconv.Itoa(i)); ok {
 				nodeCounters[i] = e.counters
 				nodeOuts[i] = &NodeReport{
 					Node:           internals[i],
@@ -462,7 +462,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 				}
 			}
 			sig := b.String()
-			if e, ok := warm.nodes.lookup(sig); ok {
+			if e, ok := warm.nodes.Get(sig); ok {
 				nodeCounters[i] = e.counters
 				nodeOuts[i] = &NodeReport{
 					Node:           internals[i],
@@ -471,7 +471,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 					PotentialCount: e.potentials,
 				}
 				if cheap != "" {
-					warm.nodes.store(cheap+"|n|"+strconv.Itoa(i), e)
+					warm.nodes.Put(cheap+"|n|"+strconv.Itoa(i), e)
 				}
 				return
 			}
@@ -479,9 +479,9 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 			// the unit list filters on that condition.
 			cands, potentials := semFor(w).candidateLabels(x, sub, mr.Mapping, so)
 			e := nodeEntry{clusters: names, cands: cands, potentials: potentials, counters: nodeCounters[i]}
-			warm.nodes.store(sig, e)
+			warm.nodes.Put(sig, e)
 			if cheap != "" {
-				warm.nodes.store(cheap+"|n|"+strconv.Itoa(i), e)
+				warm.nodes.Put(cheap+"|n|"+strconv.Itoa(i), e)
 			}
 			nodeOuts[i] = &NodeReport{
 				Node:           internals[i],

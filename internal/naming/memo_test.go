@@ -5,6 +5,7 @@ import (
 
 	"qilabel/internal/dataset"
 	"qilabel/internal/schema"
+	"qilabel/internal/twogen"
 )
 
 // domainLabels collects every distinct node label across the seven builtin
@@ -59,26 +60,34 @@ func TestRelateMemoMatchesUnmemoized(t *testing.T) {
 	}
 }
 
-// TestRelateMemoBounded: the memo must reset, not grow, past relMemoLimit,
-// and verdicts must survive the reset unchanged.
+// TestRelateMemoBounded: driven through many rotations of a small-cap
+// memo, the memo stays within its cap, and every verdict — fresh, replayed
+// from either generation, or recomputed after eviction — agrees with the
+// unmemoized reference.
 func TestRelateMemoBounded(t *testing.T) {
+	const memoCap = 64
 	s := NewSemantics(nil)
-	s.memo = make(map[uint64]Rel, 8)
-	// Shrink the effective limit by pre-filling near the bound is impractical
-	// (2^17 entries); instead drive distinct synthetic pairs through a small
-	// window and assert the invariant len(memo) <= relMemoLimit directly.
-	labels := domainLabels(t)
-	for i, a := range labels {
-		for _, b := range labels[:min(len(labels), i+8)] {
-			s.Relate(a, b)
-			if len(s.memo) > relMemoLimit {
-				t.Fatalf("memo grew to %d entries, limit is %d", len(s.memo), relMemoLimit)
+	s.memo = twogen.NewMap[uint64, Rel](memoCap)
+	ref := NewSemanticsUnmemoized(nil)
+	labels := domainLabels(t)[:60]
+	distinct := 0
+	for pass := 0; pass < 2; pass++ {
+		for i, a := range labels {
+			for _, b := range labels[max(0, i-7) : i+1] {
+				if pass == 0 {
+					distinct++
+				}
+				if got, want := s.Relate(a, b), ref.Relate(a, b); got != want {
+					t.Fatalf("pass %d: Relate(%q,%q) = %v, reference says %v", pass, a, b, got, want)
+				}
+				if n := s.memo.Len(); n > memoCap {
+					t.Fatalf("memo grew to %d entries, cap is %d", n, memoCap)
+				}
 			}
 		}
 	}
-	ref := NewSemanticsUnmemoized(nil)
-	if got, want := s.Relate(labels[0], labels[1]), ref.Relate(labels[0], labels[1]); got != want {
-		t.Fatalf("post-sweep Relate = %v, reference says %v", got, want)
+	if distinct < 4*memoCap {
+		t.Fatalf("only %d distinct pairs: too few to rotate a cap-%d memo repeatedly", distinct, memoCap)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"qilabel/internal/lexicon"
 	"qilabel/internal/stem"
 	"qilabel/internal/token"
+	"qilabel/internal/twogen"
 )
 
 // Rel is a semantic relationship between two labels per Definition 1.
@@ -101,10 +102,10 @@ type Analysis struct {
 	lex     *lexicon.Lexicon
 	byLabel map[string]*labelWords
 	ids     map[string]int32
-	// warm, when non-nil, is the cross-run cache the table was interned
-	// through; Semantics derived from the table consult its shared Relate
-	// verdicts for table-label pairs.
-	warm *Warm
+	// verdicts, when non-nil, is the shared Relate cache of the Warm epoch
+	// the table's IDs were issued in; Semantics derived from the table
+	// cache table-label pairs there.
+	verdicts *twogen.Sharded[Rel]
 }
 
 // PrecomputeAnalysis analyzes every distinct label in labels over the given
@@ -136,29 +137,27 @@ func PrecomputeAnalysis(lex *lexicon.Lexicon, labels []string) *Analysis {
 func (a *Analysis) Semantics() *Semantics {
 	s := NewSemantics(a.lex)
 	s.shared = a
-	s.warm = a.warm
+	s.verdicts = a.verdicts
 	return s
 }
 
-// relMemoLimit bounds the per-Semantics memo of Relate verdicts (the sum
-// of its two generations — see memoStore), keeping long-lived Semantics —
-// the long-running server's verify path, REPL-style callers — at a flat
-// memory ceiling of ~2 MiB while staying maximally warm for the group
-// solver's quadratic access patterns.
+// relMemoLimit bounds the per-Semantics memo of Relate verdicts, keeping
+// long-lived Semantics — the long-running server's verify path,
+// REPL-style callers — at a flat memory ceiling of ~2 MiB while staying
+// maximally warm for the group solver's quadratic access patterns.
 const relMemoLimit = 1 << 17
 
 // Semantics evaluates Definition 1's relationships using a lexicon. It
 // caches label analyses and memoizes Relate verdicts; a Semantics is NOT
 // safe for concurrent use (share an Analysis across workers instead).
 type Semantics struct {
-	lex    *lexicon.Lexicon
-	shared *Analysis // optional read-only table (nil: none)
-	warm   *Warm     // optional shared cross-run verdict cache (nil: none)
-	cache  map[string]*labelWords
-	ids    map[string]int32 // local label IDs (negative: disjoint from table IDs)
-	memo   map[uint64]Rel   // Relate verdicts keyed by interned label-pair IDs
-	old    map[uint64]Rel   // previous memo generation (see memoStore)
-	noMemo bool
+	lex      *lexicon.Lexicon
+	shared   *Analysis            // optional read-only table (nil: none)
+	verdicts *twogen.Sharded[Rel] // optional shared cross-run verdict cache (nil: none)
+	cache    map[string]*labelWords
+	ids      map[string]int32         // local label IDs (negative: disjoint from table IDs)
+	memo     *twogen.Map[uint64, Rel] // Relate verdicts keyed by interned label-pair IDs
+	noMemo   bool
 
 	// Reusable scratch for the group solver's hot loops (a Semantics is
 	// single-goroutine, so plain fields suffice): the stem set
@@ -178,7 +177,7 @@ func NewSemantics(lex *lexicon.Lexicon) *Semantics {
 		lex:   lex,
 		cache: make(map[string]*labelWords),
 		ids:   make(map[string]int32),
-		memo:  make(map[uint64]Rel),
+		memo:  twogen.NewMap[uint64, Rel](relMemoLimit),
 	}
 }
 
@@ -329,45 +328,23 @@ func (s *Semantics) Relate(a, b string) Rel {
 	}
 	ia, ib := s.labelID(a), s.labelID(b)
 	key := uint64(uint32(ia))<<32 | uint64(uint32(ib))
-	if r, ok := s.memo[key]; ok {
-		return r
-	}
-	if r, ok := s.old[key]; ok {
-		s.memoStore(key, r) // promote: steadily hot pairs survive rotation
-		return r
-	}
-	// Both labels from the shared table of a warm handle: the verdict may
-	// already be known from an earlier run (or a sibling worker). This is
-	// the only locking touch on the hot path, and the overlay above bounds
-	// it to once per distinct pair per worker per run.
-	if s.warm != nil && ia >= 0 && ib >= 0 {
-		if r, ok := s.warm.verdict(key); ok {
-			s.memoStore(key, r)
+	// Both labels from the shared table of a warm handle: the pair is
+	// cached only in the shared verdict cache, where earlier runs and
+	// sibling workers find it too.
+	if s.verdicts != nil && ia >= 0 && ib >= 0 {
+		if r, ok := s.verdicts.Get(key); ok {
 			return r
 		}
 		r := s.relate(a, b)
-		s.warm.storeVerdict(key, r)
-		s.memoStore(key, r)
+		s.verdicts.Put(key, r)
+		return r
+	}
+	if r, ok := s.memo.Get(key); ok {
 		return r
 	}
 	r := s.relate(a, b)
-	s.memoStore(key, r)
+	s.memo.Put(key, r)
 	return r
-}
-
-// memoStore records a verdict in the per-Semantics overlay under a
-// two-generation bound: when the current generation reaches half of
-// relMemoLimit it becomes the old generation (dropping the previous one)
-// and a fresh map starts. Entries re-referenced within a generation are
-// promoted by Relate, so — unlike the historical wholesale clear — a warm
-// working set survives arbitrarily long runs while memory stays capped at
-// relMemoLimit entries across both generations.
-func (s *Semantics) memoStore(key uint64, r Rel) {
-	if len(s.memo) >= relMemoLimit/2 {
-		s.old = s.memo
-		s.memo = make(map[uint64]Rel)
-	}
-	s.memo[key] = r
 }
 
 // relate is the unmemoized Definition 1 evaluation.

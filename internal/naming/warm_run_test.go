@@ -109,7 +109,7 @@ func TestRunMemoEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := renderNaming(base)
-			w := NewWarm(nil, 0, 0)
+			w := NewWarm(nil)
 
 			cold := runWarm(t, d.Name, "cold", want, w, Options{})
 			if cold.solveMisses == 0 {
@@ -140,7 +140,7 @@ func TestRunMemoEquivalence(t *testing.T) {
 // clusters of the run that reused it, not the run that solved it;
 // otherwise reports would leak stale cluster objects across runs.
 func TestWarmRebindsRelation(t *testing.T) {
-	w := NewWarm(nil, 0, 0)
+	w := NewWarm(nil)
 	if _, err := Run(domainMerge(t, "Airline"), Options{Warm: w}); err != nil {
 		t.Fatal(err)
 	}

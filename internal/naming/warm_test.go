@@ -2,17 +2,21 @@ package naming
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"testing"
+
+	"qilabel/internal/twogen"
 )
 
 // TestWarmLabelCapBound: under an adversarial stream of distinct labels the
 // intern table must respect its cap — the two-generation rotation evicts,
-// the population never exceeds labelCap, and analyses interned moments ago
+// the population never exceeds the cap, and analyses interned moments ago
 // (the current generation) are still served.
 func TestWarmLabelCapBound(t *testing.T) {
 	const cap = 64
-	w := NewWarm(nil, cap, 0)
+	w := NewWarm(nil)
+	w.ep.Load().labels = twogen.NewTable[string, warmLabel](cap)
 	for batch := 0; batch < 50; batch++ {
 		labels := make([]string, 0, 16)
 		for i := 0; i < 16; i++ {
@@ -42,38 +46,89 @@ func TestWarmLabelCapBound(t *testing.T) {
 	}
 }
 
-// TestWarmTableBound: the generic two-generation table behind the
-// group/isolated/node caches never exceeds its cap and promotes
-// old-generation hits across a rotation.
+// TestWarmTableBound: the solve-family tables are bounded by their cap,
+// promote old-generation hits across a rotation, and report their
+// populations and counters through Stats.
 func TestWarmTableBound(t *testing.T) {
-	tab := warmTable[int]{cap: 8}
+	w := NewWarm(nil)
+	w.groups = twogen.NewTable[string, groupEntry](8)
 	for i := 0; i < 100; i++ {
-		tab.store("k"+strconv.Itoa(i), i)
-		if s := tab.size(); s > 8 {
+		w.groups.Put("k"+strconv.Itoa(i), groupEntry{})
+		if s := w.Stats().Solves; s > 8 {
 			t.Fatalf("after %d stores the table holds %d entries, cap is 8", i+1, s)
 		}
 	}
-	// The newest entry is always resident.
-	if v, ok := tab.lookup("k99"); !ok || v != 99 {
-		t.Fatalf("lookup(k99) = %d, %v", v, ok)
+	if _, ok := w.groups.Get("k99"); !ok {
+		t.Fatal("newest entry unreachable")
 	}
-	// A promoted entry survives the rotation that evicts its unreferenced
-	// contemporaries: touch one old-generation key, rotate, probe again.
-	tab.reset()
-	for i := 0; i < 4; i++ { // fill cur to cap/2: next store rotates
-		tab.store("old"+strconv.Itoa(i), i)
-	}
-	tab.store("rotor", -1) // rotates: old0..old3 -> old generation
-	if _, ok := tab.lookup("old1"); !ok {
+	// k92..k95 sit in the old generation. A touched one is promoted and
+	// outlives the rotations that drop its untouched contemporaries.
+	if _, ok := w.groups.Get("k93"); !ok {
 		t.Fatal("old-generation entry unreachable after rotation")
 	}
-	for i := 0; i < 4; i++ { // force another rotation
-		tab.store("new"+strconv.Itoa(i), i)
+	for i := 0; i < 4; i++ {
+		w.groups.Put("new"+strconv.Itoa(i), groupEntry{})
 	}
-	if _, ok := tab.lookup("old1"); !ok {
+	if _, ok := w.groups.Get("k93"); !ok {
 		t.Fatal("promoted entry evicted by the next rotation")
 	}
-	if _, ok := tab.lookup("old2"); ok {
+	if _, ok := w.groups.Get("k92"); ok {
 		t.Fatal("unreferenced old-generation entry survived two rotations")
 	}
+	if st := w.Stats(); st.SolveHits != 3 || st.SolveMisses != 1 {
+		t.Fatalf("solve counters %+v, want 3 hits and 1 miss", st)
+	}
+}
+
+// TestWarmVerdictPopulation: promoting a verdict out of the old generation
+// moves it rather than copying it, so the reported population is the number
+// of distinct pairs cached. The three pairs share one shard (both ID halves
+// equal), whose cap of 4 rotates on the third.
+func TestWarmVerdictPopulation(t *testing.T) {
+	w := NewWarm(nil)
+	w.ep.Load().verdicts = twogen.NewSharded[Rel](4 * 64)
+	labels := []string{"Departure City", "Return Date", "Adults"}
+	s := w.Analysis(labels).Semantics()
+	for _, l := range labels {
+		s.Relate(l, l)
+	}
+	s.Relate(labels[0], labels[0]) // old-generation hit: promoted
+	if st := w.Stats(); st.Verdicts != 3 || st.VerdictHits != 1 || st.VerdictMisses != 3 {
+		t.Fatalf("3 distinct verdicts, 1 promotion: %+v", st)
+	}
+}
+
+// TestWarmIDExhaustion: when the label-ID space runs out, the Warm starts a
+// fresh epoch without reissuing an ID to a label that a run already holds —
+// neither within the run that hits the limit nor against a run that
+// resolved its IDs before it. Every verdict agrees with the reference.
+func TestWarmIDExhaustion(t *testing.T) {
+	w := NewWarm(nil)
+	held := w.Analysis([]string{"Departure City", "City of Departure"})
+	w.ep.Load().nextID.Store(math.MaxInt32)
+	w.Analysis([]string{"Zzz"}) // takes the last ID
+	labels := []string{"Return Date", "Adults", "Departure City"}
+	a := w.Analysis(labels)
+	if st := w.Stats(); st.EpochResets != 1 {
+		t.Fatalf("EpochResets = %d, want 1", st.EpochResets)
+	}
+	seen := make(map[int32]string)
+	for _, l := range labels {
+		if prev, dup := seen[a.ids[l]]; dup {
+			t.Fatalf("%q and %q share ID %d", prev, l, a.ids[l])
+		}
+		seen[a.ids[l]] = l
+	}
+	ref := NewSemanticsUnmemoized(nil)
+	check := func(s *Semantics, labels []string) {
+		for _, x := range labels {
+			for _, y := range labels {
+				if got, want := s.Relate(x, y), ref.Relate(x, y); got != want {
+					t.Fatalf("Relate(%q,%q) = %v, reference says %v", x, y, got, want)
+				}
+			}
+		}
+	}
+	check(a.Semantics(), labels)
+	check(held.Semantics(), []string{"Departure City", "City of Departure"})
 }

@@ -66,11 +66,11 @@ func NewIntegrator(cfg Config) (*Integrator, error) {
 	}
 	ig := &Integrator{cfg: cfg, scratch: &match.Scratch{}}
 	if !cfg.DisableWarmCache && !cfg.referenceKernels {
-		ig.warm = naming.NewWarm(cfg.Lexicon, 0, 0)
+		ig.warm = naming.NewWarm(cfg.Lexicon)
 		if cfg.UseMatcher {
-			ig.matchWarm = match.NewWarm(cfg.Lexicon, 0, 0, 0)
+			ig.matchWarm = match.NewWarm(cfg.Lexicon, 0)
 		}
-		ig.sources = delta.NewSourceLabelMemo(0)
+		ig.sources = delta.NewSourceLabelMemo()
 	}
 	return ig, nil
 }
@@ -129,9 +129,9 @@ type WarmStats struct {
 	// intern table's bound; LabelsInterned is the current population.
 	LabelHits, LabelMisses, LabelsEvicted uint64
 	LabelsInterned                        int
-	// VerdictHits / VerdictMisses count shared Relate-cache probes (made
-	// at most once per distinct label pair per worker per run — the
-	// per-worker overlay absorbs repeats); Verdicts is the population.
+	// VerdictHits / VerdictMisses count shared Relate-cache probes: one
+	// per Relate call on a pair of labels in the run's analysis table;
+	// Verdicts is the population.
 	VerdictHits, VerdictMisses uint64
 	Verdicts                   int
 	// SolveHits / SolveMisses count naming group solves and isolated
