@@ -1,19 +1,45 @@
 // Command qilabeld serves the labeling pipeline as a long-running
 // HTTP/JSON daemon (see internal/server for the endpoint reference):
 //
-//	qilabeld [-addr :8080] [-max-inflight N] [-timeout 30s] [-parallelism N]
-//	         [-cache 128] [-cache-file path] [-cache-checkpoint 5m]
-//	         [-max-batch 64] [-max-body 8388608] [-lexicon extra.json]
-//	         [-lexicon-dir dir] [-max-lexicons N] [-lexicon-reload 30s]
-//	         [-session-ttl 15m] [-max-sessions 64] [-pprof addr]
-//	         [-discover-threshold 0.4] [-discover-ttl 15m] [-max-domains 64]
+//	qilabeld [-addr :8080] [-pprof addr] [-cache-file path]
+//	         [-lexicon extra.json] [-lexicon-dir dir] [-drain-timeout 10s]
+//	         [-max-inflight N] [-timeout 30s] [-max-body 8388608]
+//	         [-max-batch 64] [-cache 128] [-max-sessions 64]
+//	         [-max-domains 64] [-max-lexicons N]
 //
+// Every flag is either a deployment setting, which only the operator can
+// know, or a declared bound on the work or memory one daemon accepts:
+//
+//	-addr           deployment: the service listener
+//	-pprof          deployment: a separate profiling listener (off by default)
+//	-cache-file     deployment: where the result cache persists across restarts
+//	-lexicon        deployment: the site's lexicon facts, made the default version
+//	-lexicon-dir    deployment: the directory of selectable lexicon versions
+//	-drain-timeout  deployment: how long the supervisor waits for a stop
+//	-max-inflight   bound: concurrent pipeline computations (503 past it)
+//	-timeout        bound: wall time of one pipeline computation (504)
+//	-max-body       bound: request body bytes (413)
+//	-max-batch      bound: items of one /v1/integrate/batch request
+//	-cache          bound: result-cache entries
+//	-max-sessions   bound: live /v1/sessions sessions
+//	-max-domains    bound: live discovered domains
+//	-max-lexicons   bound: lexicon versions held at once
+//
+// The rest is fixed: pipeline stages fan out over GOMAXPROCS workers,
+// /v1/ingest forms share a domain at the built-in similarity threshold,
+// idle sessions and discovered domains are evicted after 15 minutes, the
+// cache is checkpointed every 5 minutes and -lexicon-dir is rescanned
+// every 30 seconds.
+//
+// -lexicon extends the embedded lexicon with the file's entries and
+// registers the result as the default version: optionless requests, the
+// "default" alias and the version's content address all select it.
 // -lexicon-dir serves every *.json lexicon in the directory as a
 // selectable version (requests pick one with the "lexicon" option or the
 // X-Lexicon header; file base names are aliases, content addresses are
-// canonical). -lexicon-reload hot-reloads the directory on a ticker; a
-// request naming an unknown alias also triggers a lazy rescan, so
-// dropping a file in is enough — no restart, no signal.
+// canonical). Besides the periodic rescan, a request naming an unknown
+// alias triggers a lazy one, so dropping a file in is enough — no
+// restart, no signal.
 //
 // The daemon exits cleanly on SIGINT/SIGTERM, draining in-flight requests
 // for up to -drain-timeout before closing the listener.
@@ -21,8 +47,8 @@
 // -cache-file makes the integration-result cache survive restarts: the
 // daemon restores the snapshot at startup (a missing file is a cold
 // start; a corrupt or configuration-mismatched one is logged and
-// ignored), checkpoints it atomically every -cache-checkpoint, and writes
-// a final snapshot after the SIGTERM drain — so a previously computed
+// ignored), checkpoints it atomically every 5 minutes, and writes a final
+// snapshot after the SIGTERM drain — so a previously computed
 // integration is a warm cache hit on the next boot.
 //
 // -pprof starts a second listener (for example -pprof localhost:6060)
@@ -48,25 +74,28 @@ import (
 	"qilabel/internal/server"
 )
 
+// Fixed intervals of the daemon's background work.
+const (
+	// checkpointEvery spaces the periodic -cache-file snapshots; the
+	// final snapshot after the drain does not wait for it.
+	checkpointEvery = 5 * time.Minute
+	// rescanEvery spaces the -lexicon-dir hot-reload rescans.
+	rescanEvery = 30 * time.Second
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent pipeline computations (0 = 2×GOMAXPROCS); excess requests get 503")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request pipeline timeout")
-	parallelism := flag.Int("parallelism", 0, "worker-pool size per pipeline computation (0 = GOMAXPROCS, 1 = serial); never changes results")
 	cacheSize := flag.Int("cache", 128, "integration-result LRU capacity in entries (negative disables)")
-	cacheFile := flag.String("cache-file", "", "persist the result cache to this file (restored at startup, checkpointed periodically, saved on shutdown); empty disables")
-	checkpoint := flag.Duration("cache-checkpoint", 5*time.Minute, "interval between periodic cache snapshots (needs -cache-file; 0 disables periodic checkpoints)")
+	cacheFile := flag.String("cache-file", "", "persist the result cache to this file (restored at startup, checkpointed every 5m, saved on shutdown); empty disables")
 	maxBatch := flag.Int("max-batch", 64, "max items per /v1/integrate/batch request")
-	sessionTTL := flag.Duration("session-ttl", 15*time.Minute, "idle eviction horizon for /v1/sessions sessions (negative = never expire)")
 	maxSessions := flag.Int("max-sessions", 64, "max concurrently live /v1/sessions sessions; creating past the cap evicts the least-recently-used")
-	discoverThr := flag.Float64("discover-threshold", 0, "similarity level at which /v1/ingest forms share a domain, in (0,1] (0 = built-in default); shapes the partition only, never cache keys")
-	discoverTTL := flag.Duration("discover-ttl", 15*time.Minute, "idle eviction horizon for discovered domains (negative = never expire)")
 	maxDomains := flag.Int("max-domains", 64, "max concurrently live discovered domains; discovering past the cap evicts the least-recently-used")
 	maxBody := flag.Int64("max-body", 8<<20, "request body size limit in bytes")
-	lexFile := flag.String("lexicon", "", "extend the built-in lexicon with entries from this JSON file")
-	lexDir := flag.String("lexicon-dir", "", "serve every *.json lexicon (artifact or plain) in this directory as a selectable version; file base names become aliases")
+	lexFile := flag.String("lexicon", "", "extend the built-in lexicon with entries from this JSON file and serve the result as the default version")
+	lexDir := flag.String("lexicon-dir", "", "serve every *.json lexicon (artifact or plain) in this directory as a selectable version, rescanned every 30s; file base names become aliases")
 	maxLexicons := flag.Int("max-lexicons", 0, "max lexicon versions held at once (0 = registry default); alias-pinned versions never evict")
-	lexReload := flag.Duration("lexicon-reload", 0, "rescan -lexicon-dir at this interval for hot reload (0 disables; requests also rescan lazily on an unknown alias)")
 	drain := flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables")
 	flag.Parse()
@@ -76,16 +105,10 @@ func main() {
 		MaxBodyBytes:   *maxBody,
 		RequestTimeout: *timeout,
 		CacheSize:      *cacheSize,
-		Parallelism:    *parallelism,
 		MaxBatchItems:  *maxBatch,
-		SessionTTL:     *sessionTTL,
 		MaxSessions:    *maxSessions,
-
-		DiscoverThreshold: *discoverThr,
-		DiscoverTTL:       *discoverTTL,
-		MaxDomains:        *maxDomains,
-
-		MaxLexicons: *maxLexicons,
+		MaxDomains:     *maxDomains,
+		MaxLexicons:    *maxLexicons,
 	}
 	if *lexFile != "" {
 		data, err := os.ReadFile(*lexFile)
@@ -145,38 +168,19 @@ func main() {
 		defer dbg.Close()
 	}
 
-	if *lexDir != "" && *lexReload > 0 {
-		go func() {
-			tick := time.NewTicker(*lexReload)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					if _, err := srv.ReloadLexicons(); err != nil {
-						log.Printf("qilabeld: lexicon reload: %v", err)
-					}
-				case <-ctx.Done():
-					return
-				}
+	if *lexDir != "" {
+		go every(ctx, rescanEvery, func() {
+			if _, err := srv.ReloadLexicons(); err != nil {
+				log.Printf("qilabeld: lexicon reload: %v", err)
 			}
-		}()
+		})
 	}
-
-	if *cacheFile != "" && *checkpoint > 0 {
-		go func() {
-			tick := time.NewTicker(*checkpoint)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					if _, err := srv.SaveCache(*cacheFile); err != nil {
-						log.Printf("qilabeld: cache checkpoint: %v", err)
-					}
-				case <-ctx.Done():
-					return
-				}
+	if *cacheFile != "" {
+		go every(ctx, checkpointEvery, func() {
+			if _, err := srv.SaveCache(*cacheFile); err != nil {
+				log.Printf("qilabeld: cache checkpoint: %v", err)
 			}
-		}()
+		})
 	}
 
 	errCh := make(chan error, 1)
@@ -210,4 +214,18 @@ func main() {
 		}
 	}
 	fmt.Println("qilabeld: bye")
+}
+
+// every runs fn at each tick of interval until ctx is done.
+func every(ctx context.Context, interval time.Duration, fn func()) {
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+			fn()
+		case <-ctx.Done():
+			return
+		}
+	}
 }

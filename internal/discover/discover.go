@@ -361,7 +361,7 @@ func (e *Engine) registerLocked(d *domain, now time.Time) {
 				oldest = cand
 			}
 		}
-		e.dropLocked(oldest, 1)
+		e.dropLocked(oldest)
 	}
 	e.domains[d] = true
 	for h := range d.members {
@@ -375,18 +375,15 @@ func (e *Engine) sweepLocked(now time.Time) {
 	if e.ttl <= 0 {
 		return
 	}
-	dropped := 0
 	for d := range e.domains {
 		if now.Sub(d.lastUsed) > e.ttl {
-			e.dropLocked(d, 0)
-			dropped++
+			e.dropLocked(d)
 		}
 	}
-	_ = dropped
 }
 
 // dropLocked removes one domain and forgets its forms. Caller holds mu.
-func (e *Engine) dropLocked(d *domain, _ int) {
+func (e *Engine) dropLocked(d *domain) {
 	delete(e.domains, d)
 	for h := range d.members {
 		delete(e.byForm, h)

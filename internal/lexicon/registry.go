@@ -29,8 +29,8 @@ import (
 // A Registry is safe for concurrent use.
 type Registry struct {
 	mu sync.Mutex
-	// max bounds registered versions (aliased and default versions are
-	// never evicted; unpinned versions age out LRU).
+	// max bounds registered versions (aliased versions and the default
+	// version are never evicted; unpinned versions age out LRU).
 	max int
 	// entries maps full version ID -> entry; order is the LRU list over
 	// the same entries (front = most recently resolved).
@@ -49,7 +49,8 @@ type Registry struct {
 // DefaultMaxLexicons bounds a registry whose cap was left zero.
 const DefaultMaxLexicons = 32
 
-// DefaultAlias names the embedded default lexicon in every registry.
+// DefaultAlias names the registry's default version: the embedded
+// default lexicon unless SetDefault replaced it.
 const DefaultAlias = "default"
 
 // ErrRegistryFull reports a Put into a registry whose every slot is
@@ -63,14 +64,14 @@ var ErrUnknownVersion = errors.New("lexicon: unknown lexicon version")
 type regEntry struct {
 	id  string
 	lex *Lexicon
-	// def marks the embedded default lexicon (never evicted).
+	// def marks the default version (never evicted).
 	def bool
 }
 
 // NewRegistry returns a registry bounded to max versions (0: the
 // default). The embedded default lexicon is pre-registered under its
-// content address and the "default" alias; it does not count against the
-// bound and is never evicted.
+// content address and the "default" alias; while it is the default it
+// does not count against the bound and is never evicted (see SetDefault).
 func NewRegistry(max int) *Registry {
 	if max <= 0 {
 		max = DefaultMaxLexicons
@@ -95,25 +96,59 @@ func NewRegistry(max int) *Registry {
 // unpinned version; when every version is alias-pinned the registry is
 // full and Put fails rather than silently breaking a pinned alias.
 func (r *Registry) Put(l *Lexicon) (string, error) {
-	if l == nil {
-		return "", errors.New("lexicon: cannot register a nil lexicon")
+	frozen, id, err := freeze(l)
+	if err != nil {
+		return "", err
 	}
-	frozen := l.Clone()
-	frozen.Compile()
-	id := frozen.VersionID()
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if el, ok := r.entries[id]; ok {
 		r.order.MoveToFront(el)
 		return id, nil
 	}
-	if err := r.evictLocked(); err != nil {
+	if err := r.evictLocked(1); err != nil {
 		return "", err
 	}
 	r.entries[id] = r.order.PushFront(&regEntry{id: id, lex: frozen})
 	r.puts++
 	return id, nil
+}
+
+// SetDefault registers l like Put and makes it the default version: the
+// "default" alias and the never-evict mark move to it, and the previous
+// default becomes an ordinary version that ages out like any other. A nil
+// l keeps the current default. It returns the default's version ID.
+func (r *Registry) SetDefault(l *Lexicon) string {
+	frozen, id, err := freeze(l)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err != nil {
+		return r.aliases[DefaultAlias]
+	}
+	el, ok := r.entries[id]
+	if !ok {
+		el = r.order.PushFront(&regEntry{id: id, lex: frozen})
+		r.entries[id] = el
+		r.puts++
+	}
+	r.entries[r.aliases[DefaultAlias]].Value.(*regEntry).def = false
+	el.Value.(*regEntry).def = true
+	r.aliases[DefaultAlias] = id
+	// The old default now counts against the bound; past it, the least
+	// recently resolved unpinned versions go (pins win over the bound).
+	_ = r.evictLocked(0)
+	return id
+}
+
+// freeze deep-copies and compiles l, so the registered version is
+// immutable whatever the caller does with l afterwards.
+func freeze(l *Lexicon) (*Lexicon, string, error) {
+	if l == nil {
+		return nil, "", errors.New("lexicon: cannot register a nil lexicon")
+	}
+	frozen := l.Clone()
+	frozen.Compile()
+	return frozen, frozen.VersionID(), nil
 }
 
 // PutArtifact decodes a content-addressed artifact (or a plain lexicon
@@ -126,33 +161,37 @@ func (r *Registry) PutArtifact(data []byte) (string, error) {
 	return r.Put(l)
 }
 
-// evictLocked makes room for one more version: counts non-default
-// entries and drops the least-recently-resolved one that no alias pins.
-func (r *Registry) evictLocked() error {
+// evictLocked makes room for `room` more versions: counts non-default
+// entries and drops the least-recently-resolved ones no alias pins until
+// they fit under the bound.
+func (r *Registry) evictLocked(room int) error {
 	live := 0
 	for _, el := range r.entries {
 		if !el.Value.(*regEntry).def {
 			live++
 		}
 	}
-	if live < r.max {
+	if live+room <= r.max {
 		return nil
 	}
 	pinned := make(map[string]bool, len(r.aliases))
 	for _, id := range r.aliases {
 		pinned[id] = true
 	}
-	for el := r.order.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*regEntry)
-		if e.def || pinned[e.id] {
-			continue
+	for el := r.order.Back(); el != nil && live+room > r.max; {
+		e, prev := el.Value.(*regEntry), el.Prev()
+		if !e.def && !pinned[e.id] {
+			r.order.Remove(el)
+			delete(r.entries, e.id)
+			r.evictions++
+			live--
 		}
-		r.order.Remove(el)
-		delete(r.entries, e.id)
-		r.evictions++
-		return nil
+		el = prev
 	}
-	return ErrRegistryFull
+	if live+room > r.max {
+		return ErrRegistryFull
+	}
+	return nil
 }
 
 // Resolve maps a version ID or alias to the frozen lexicon it names,
@@ -199,7 +238,7 @@ type Version struct {
 	Short string `json:"short"`
 	// Aliases lists the names currently pointing at this version, sorted.
 	Aliases []string `json:"aliases,omitempty"`
-	// Default marks the embedded default lexicon.
+	// Default marks the default version (the "default" alias target).
 	Default bool `json:"default,omitempty"`
 	// Knowledge-base size, for listings.
 	Words     int `json:"words"`

@@ -48,6 +48,39 @@ func TestRegistryDefaultPinned(t *testing.T) {
 	}
 }
 
+// TestRegistrySetDefault: SetDefault moves the "default" alias and the
+// never-evict mark to the new version; the embedded lexicon stays
+// registered as an ordinary version that the bound can evict.
+func TestRegistrySetDefault(t *testing.T) {
+	r := NewRegistry(1)
+	embedded := Default().VersionID()
+	id := r.SetDefault(variant("override"))
+	for _, name := range []string{"", DefaultAlias, id} {
+		if got, _, err := r.Resolve(name); err != nil || got != id {
+			t.Fatalf("Resolve(%q) = %s, %v; want the override %s", name, got, err, id)
+		}
+	}
+	list := r.List()
+	if len(list) != 2 || !list[0].Default || list[0].ID != id || list[1].Default || list[1].ID != embedded {
+		t.Fatalf("List() = %+v, want the override as the one default, then the embedded lexicon", list)
+	}
+
+	// The embedded lexicon now fills the max=1 bound: the next Put
+	// evicts it, and the override survives.
+	if _, err := r.Put(variant("alpha")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Resolve(embedded); !errors.Is(err, ErrUnknownVersion) {
+		t.Fatalf("embedded lexicon survived eviction: %v", err)
+	}
+	if got, _, err := r.Resolve(DefaultAlias); err != nil || got != id {
+		t.Fatalf("default after eviction = %s, %v; want %s", got, err, id)
+	}
+	if got := r.SetDefault(nil); got != id {
+		t.Fatalf("SetDefault(nil) = %s, want the current default %s", got, id)
+	}
+}
+
 // TestRegistryImmutability: Put deep-copies, so mutating the source
 // lexicon afterwards cannot change the served version (or its address).
 func TestRegistryImmutability(t *testing.T) {

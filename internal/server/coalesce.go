@@ -153,6 +153,17 @@ func (s *Server) integrateShared(ctx context.Context, key string, sources []*qil
 
 	f, leader := s.flights.join(key, s.cfg.RequestTimeout)
 	if leader {
+		// A flight for key may have cached its result and landed between
+		// the probe above and the join: serve that entry (and anyone who
+		// joined this flight meanwhile) instead of running it again.
+		if e, hit := s.cache.Get(key); hit {
+			s.flights.finish(key, f, e.resp, nil)
+			s.metrics.cacheHits.Add(1)
+			s.metrics.recordLexicon(lexLabel, statusHit)
+			resp := e.resp
+			resp.Cached = true
+			return resp, statusHit, nil
+		}
 		s.metrics.cacheMisses.Add(1)
 		s.metrics.recordLexicon(lexLabel, statusComputed)
 		go s.runFlight(f, key, sources, domain, ropts, block)

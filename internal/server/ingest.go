@@ -23,7 +23,7 @@ import (
 //	GET  /v1/domains/discovered/{id}   one live domain
 //
 // The discovery engine is server-owned state bounded like sessions: an
-// idle TTL (a domain no form has joined for DiscoverTTL is evicted
+// idle TTL (a domain no form has joined for idleHorizon is evicted
 // lazily, forgetting its forms) and a domain cap (discovering past
 // MaxDomains evicts the least-recently-used domain). Clients must treat
 // a 404 on a known domain ID as eviction — or as a merge: domain IDs are
@@ -60,8 +60,7 @@ func (s *Server) discoverEngine(ropts requestOptions) (*discover.Engine, error) 
 	}
 	e, err := discover.New(discover.Config{
 		Integrator: ig,
-		Threshold:  s.cfg.DiscoverThreshold,
-		TTL:        s.cfg.DiscoverTTL,
+		TTL:        idleHorizon,
 		MaxDomains: s.cfg.MaxDomains,
 		Now:        s.discoverNow,
 	})
@@ -253,20 +252,14 @@ func (s *Server) publishDomain(eng *discover.Engine, ropts requestOptions, id st
 }
 
 func (s *Server) handleDiscovered(w http.ResponseWriter, r *http.Request) {
-	// With nothing ingested yet this is an empty listing, not an error,
-	// and the threshold reported is the one ingestion would run with.
-	thr := s.cfg.DiscoverThreshold
-	if thr == 0 {
-		thr = discover.DefaultThreshold
-	}
-	resp := discoveredResponse{Domains: []discoveredDomainJSON{}, Threshold: thr}
+	// With nothing ingested yet this is an empty listing, not an error.
+	resp := discoveredResponse{Domains: []discoveredDomainJSON{}, Threshold: discover.DefaultThreshold}
 	for _, eng := range s.discoveryEngines() {
 		infos, err := eng.Domains()
 		if err != nil {
 			writeAPIError(w, s.apiErrorFor(err))
 			return
 		}
-		resp.Threshold = eng.Threshold()
 		for _, info := range infos {
 			resp.Domains = append(resp.Domains, domainJSONOf(info))
 		}
@@ -317,15 +310,11 @@ func writeDomainNotFound(w http.ResponseWriter) {
 
 // discoverySnapshotOf renders the engines' statistics for /metrics,
 // summed across every per-lexicon partition; no engines (nothing
-// ingested yet) yields the zero section with the configured threshold.
-func discoverySnapshotOf(engines []*discover.Engine, cfgThreshold float64) discoverySnapshot {
-	d := discoverySnapshot{Threshold: cfgThreshold}
-	if d.Threshold == 0 {
-		d.Threshold = discover.DefaultThreshold
-	}
+// ingested yet) yields the zero section.
+func discoverySnapshotOf(engines []*discover.Engine) discoverySnapshot {
+	d := discoverySnapshot{Threshold: discover.DefaultThreshold}
 	for _, eng := range engines {
 		st := eng.Stats()
-		d.Threshold = eng.Threshold()
 		d.Active += st.Domains
 		d.Forms += st.Forms
 		d.Ingested += st.Ingested

@@ -214,7 +214,7 @@ func TestIngestConcurrentSameDomain(t *testing.T) {
 // the idle domain is evicted (and its forms forgotten) while the fresh
 // one survives, and re-ingesting an evicted form rediscovers the domain.
 func TestIngestTTLEvictionMidStream(t *testing.T) {
-	s, ts := newTestServer(t, Config{Lexicon: ingestLexicon(), DiscoverTTL: time.Minute})
+	s, ts := newTestServer(t, Config{Lexicon: ingestLexicon()})
 	clock := time.Unix(0, 0)
 	var mu sync.Mutex
 	s.discoverNow = func() time.Time {
@@ -229,11 +229,12 @@ func TestIngestTTLEvictionMidStream(t *testing.T) {
 	}
 
 	first := ingestSource(t, ts.URL, ingestTree("flights-a", "Passenger", "Destination"))
-	advance(30 * time.Second)
+	advance(idleHorizon / 2)
 	ingestSource(t, ts.URL, ingestTree("books-a", "Author", "Title"))
-	advance(31 * time.Second)
+	advance(idleHorizon/2 + time.Second)
 
-	// flights is now 61s idle and gone; books (31s) survives.
+	// flights is now idle one second past the horizon and gone; books
+	// (half the horizon and a second) survives.
 	var listing discoveredResponse
 	doJSON(t, http.MethodGet, ts.URL+"/v1/domains/discovered", nil, &listing)
 	if len(listing.Domains) != 1 {

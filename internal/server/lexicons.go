@@ -33,8 +33,12 @@ import (
 //	                                results moving traffic from→to
 //	                                invalidates
 //
+// The registry's default version is Config.Lexicon when set (qilabeld
+// -lexicon), else the embedded lexicon; the "default" alias, its content
+// address and the empty selection all name it.
+//
 // Hot reload: a registry bound to a directory (qilabeld -lexicon-dir)
-// re-scans it on ReloadLexicons (qilabeld -lexicon-reload ticker) and
+// re-scans it on ReloadLexicons (qilabeld rescans every 30 s) and
 // lazily when a request names an alias the registry does not know yet —
 // dropping a file into the directory makes it servable without a restart.
 // Versions are immutable, so a reload can only add versions and move
@@ -57,44 +61,28 @@ func lexiconFromRequest(r *http.Request, o requestOptions) requestOptions {
 // the version it names (resolving aliases), rescanning the lexicon
 // directory once on a miss so freshly dropped files resolve without a
 // restart. The empty selection — and any selection resolving to the
-// server's default lexicon — stays "", keeping one cache namespace for
+// registry's default version — stays "", keeping one cache namespace for
 // the default however it is spelled.
 func (s *Server) resolveLexicon(o requestOptions) (requestOptions, *apiError) {
 	if o.Lexicon == "" {
 		return o, nil
 	}
-	id, _, err := s.registry.Resolve(o.Lexicon)
-	if err != nil {
-		if _, rerr := s.registry.Rescan(); rerr == nil {
-			id, _, err = s.registry.Resolve(o.Lexicon)
-		}
-	}
+	id, _, err := s.resolveName(o.Lexicon)
 	if err != nil {
 		return o, &apiError{http.StatusNotFound, codeNotFound,
 			"unknown lexicon " + o.Lexicon + "; register it with PUT /v1/lexicons or list GET /v1/lexicons"}
 	}
-	if id == s.defaultLexiconID() {
+	if id == s.defaultID {
 		id = ""
 	}
 	o.Lexicon = id
 	return o, nil
 }
 
-// defaultLexiconID is the content address of the lexicon an optionless
-// request runs on: the configured override, or the embedded default.
-func (s *Server) defaultLexiconID() string {
-	s.defaultIDOnce.Do(func() {
-		if s.cfg.Lexicon != nil {
-			s.defaultID = s.cfg.Lexicon.VersionID()
-			return
-		}
-		s.defaultID = qilabel.DefaultLexicon().VersionID()
-	})
-	return s.defaultID
-}
-
 // requestLexicon maps a *resolved* options value back to the lexicon the
-// integrator will run on (nil: the server default). It cannot miss for
+// integrator will run on. The default selection passes Config.Lexicon,
+// nil for the embedded lexicon, so optionless cache keys never depend on
+// how the default was registered. It cannot miss for
 // values produced by resolveLexicon, but persisted snapshot entries carry
 // ids from an earlier process, so the error path stays live.
 func (s *Server) requestLexicon(o requestOptions) (*qilabel.Lexicon, error) {
@@ -148,8 +136,8 @@ func (s *Server) lexiconsMetrics() lexiconsSnapshot {
 type lexiconListResponse struct {
 	// Lexicons lists every registered version, the default first.
 	Lexicons []qilabel.LexiconVersion `json:"lexicons"`
-	// Default is the content address an optionless request runs on (the
-	// -lexicon override when configured, else the embedded default).
+	// Default is the content address of the registry's default version,
+	// the one an optionless request runs on.
 	Default string `json:"default"`
 }
 
@@ -191,7 +179,7 @@ type lexiconReportResponse struct {
 func (s *Server) handleLexiconList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, lexiconListResponse{
 		Lexicons: s.registry.List(),
-		Default:  s.defaultLexiconID(),
+		Default:  s.defaultID,
 	})
 }
 
@@ -267,12 +255,12 @@ func (s *Server) handleLexiconReport(w http.ResponseWriter, r *http.Request) {
 			"missing ?to=<version|alias>; ?from= defaults to the server default lexicon")
 		return
 	}
-	fromID, fromLex, err := s.resolveReportName(fromName)
+	fromID, fromLex, err := s.resolveName(fromName)
 	if err != nil {
 		writeError(w, http.StatusNotFound, codeNotFound, "from: "+err.Error())
 		return
 	}
-	toID, toLex, err := s.resolveReportName(toName)
+	toID, toLex, err := s.resolveName(toName)
 	if err != nil {
 		writeError(w, http.StatusNotFound, codeNotFound, "to: "+err.Error())
 		return
@@ -291,14 +279,14 @@ func (s *Server) handleLexiconReport(w http.ResponseWriter, r *http.Request) {
 
 	// Re-key every cached entry of the old version under the new one.
 	toSelector := toID
-	if toID == s.defaultLexiconID() {
+	if toID == s.defaultID {
 		toSelector = ""
 	}
 	keys, entries := s.cache.Dump()
 	for i, e := range entries {
 		entryID := e.options.Lexicon
 		if entryID == "" {
-			entryID = s.defaultLexiconID()
+			entryID = s.defaultID
 		}
 		if entryID != fromID || len(e.sources) == 0 {
 			continue
@@ -324,28 +312,14 @@ func (s *Server) handleLexiconReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// resolveReportName resolves an upgrade-report operand: empty names the
-// server default, anything else a registered version or alias.
-func (s *Server) resolveReportName(name string) (string, *qilabel.Lexicon, error) {
-	if name == "" {
-		if s.cfg.Lexicon != nil {
-			return s.defaultLexiconID(), s.cfg.Lexicon, nil
-		}
-		return s.defaultLexiconID(), qilabel.DefaultLexicon(), nil
-	}
+// resolveName resolves a version ID or alias ("" names the default
+// version), rescanning the lexicon directory once on a miss.
+func (s *Server) resolveName(name string) (string, *qilabel.Lexicon, error) {
 	id, lex, err := s.registry.Resolve(name)
 	if err != nil {
 		if _, rerr := s.registry.Rescan(); rerr == nil {
 			id, lex, err = s.registry.Resolve(name)
 		}
 	}
-	if err != nil {
-		return "", nil, err
-	}
-	// A name resolving to the server default under a -lexicon override
-	// still reports against the registry's copy (same facts, same id).
-	if s.cfg.Lexicon != nil && id == s.defaultLexiconID() {
-		return id, s.cfg.Lexicon, nil
-	}
-	return id, lex, nil
+	return id, lex, err
 }

@@ -99,7 +99,7 @@ func TestLexiconEndpoints(t *testing.T) {
 	if len(list.Lexicons) != 1 || !list.Lexicons[0].Default {
 		t.Fatalf("fresh listing = %+v", list)
 	}
-	if list.Default != s.defaultLexiconID() || list.Lexicons[0].ID != list.Default {
+	if list.Default != s.defaultID || list.Lexicons[0].ID != list.Default {
 		t.Fatalf("default id mismatch: %+v", list)
 	}
 
@@ -595,5 +595,74 @@ func TestLexiconHotReloadUnderTraffic(t *testing.T) {
 	}
 	if _, ok := snap.Lexicons.PerLexicon[lexB.VersionID()]; !ok {
 		t.Error("no traffic column for the post-swap version")
+	}
+}
+
+// overrideOptionlessKey is the optionless fixtureSources key under a
+// server configured with tenantLexicon(7) as its default lexicon. It was
+// minted before the override became a registry version; pinning it keeps
+// that move from re-keying anything an existing deployment has cached.
+const overrideOptionlessKey = "9498fc58bdd720caa76222f095d33e5eaa50796e86b4cfa6d547de3f66ace73f"
+
+// TestDefaultLexiconOverride: a Config.Lexicon override is the registry's
+// one default version. The listing marks exactly it, its content address
+// resolves, and every spelling of the default — no selection, the
+// "default" alias, the full ID — keys and labels identically.
+func TestDefaultLexiconOverride(t *testing.T) {
+	custom := tenantLexicon(7)
+	_, ts := newTestServer(t, Config{Lexicon: custom})
+
+	var list lexiconListResponse
+	decodeBody(t, mustGet(t, ts.URL+"/v1/lexicons"), &list)
+	if list.Default != custom.VersionID() {
+		t.Fatalf("listing default = %s, want the override %s", list.Default, custom.VersionID())
+	}
+	var defaults []string
+	for _, v := range list.Lexicons {
+		if v.Default {
+			defaults = append(defaults, v.ID)
+		}
+	}
+	if len(defaults) != 1 || defaults[0] != list.Default {
+		t.Fatalf("versions marked default = %v, want exactly [%s]", defaults, list.Default)
+	}
+	resp := mustGet(t, ts.URL+"/v1/lexicons/"+list.Default)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/lexicons/<default>: status %d, want 200", resp.StatusCode)
+	}
+
+	integrate := func(header string) integrateResponse {
+		t.Helper()
+		data, _ := json.Marshal(integrateRequest{Sources: fixtureSources()})
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/integrate", bytes.NewReader(data))
+		req.Header.Set("Content-Type", "application/json")
+		if header != "" {
+			req.Header.Set("X-Lexicon", header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			t.Fatalf("X-Lexicon %q: status %d, want 200", header, resp.StatusCode)
+		}
+		var out integrateResponse
+		decodeBody(t, resp, &out)
+		return out
+	}
+	plain := integrate("")
+	if plain.Key != overrideOptionlessKey {
+		t.Fatalf("optionless key = %s, want %s", plain.Key, overrideOptionlessKey)
+	}
+	for _, header := range []string{qilabel.DefaultLexiconAlias, list.Default} {
+		got := integrate(header)
+		if got.Key != plain.Key {
+			t.Fatalf("X-Lexicon %q: key %s, want the optionless key %s", header, got.Key, plain.Key)
+		}
+		if semanticBody(t, got) != semanticBody(t, plain) {
+			t.Fatalf("X-Lexicon %q: body differs from the optionless body", header)
+		}
 	}
 }

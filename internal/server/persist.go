@@ -55,12 +55,11 @@ type cacheSnapshotEntry struct {
 
 // baseFingerprint identifies the server configuration for snapshot
 // validation: the option fingerprint of a bare request, which pins the
-// configured lexicon (the one server setting that changes results).
+// configured lexicon (the one server setting that changes results). The
+// bare options are always valid, so the integrator cannot fail.
 func (s *Server) baseFingerprint() string {
-	if ig, err := s.integrator(requestOptions{}); err == nil {
-		return ig.Fingerprint()
-	}
-	return qilabel.Fingerprint(s.options(requestOptions{})...)
+	ig, _ := s.integrator(requestOptions{})
+	return ig.Fingerprint()
 }
 
 // SaveCache atomically writes the current result cache to path and returns

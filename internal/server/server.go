@@ -79,41 +79,30 @@ type Config struct {
 	// CacheSize is the integration-result LRU capacity in entries.
 	// Zero: 128. Negative: caching disabled.
 	CacheSize int
-	// Lexicon, when non-nil, replaces the embedded default lexicon for
-	// every request that selects no other version (it participates in
-	// cache keys via the fingerprint).
+	// Lexicon, when non-nil, is registered as the lexicon registry's
+	// default version in place of the embedded default: it serves every
+	// request that selects no other version or names "default" (it
+	// participates in cache keys via the fingerprint).
 	Lexicon *qilabel.Lexicon
 	// MaxLexicons caps the versions the lexicon registry holds at once
 	// (alias-pinned and default versions never evict). Zero: the
 	// registry's default bound.
 	MaxLexicons int
-	// Parallelism bounds the worker pool each pipeline computation fans its
-	// parallel stages out over (0: GOMAXPROCS, 1: serial). Never changes
-	// results, so it does not participate in cache keys.
-	Parallelism int
 	// MaxBatchItems caps how many source-tree sets one /v1/integrate/batch
 	// request may carry. Zero: 64.
 	MaxBatchItems int
-	// SessionTTL is how long an idle /v1/sessions session survives before
-	// eviction (every operation resets the clock). Zero: 15 minutes.
-	// Negative: sessions never expire (they still fall to MaxSessions).
-	SessionTTL time.Duration
 	// MaxSessions caps concurrently live sessions; creating past the cap
 	// evicts the least-recently-used session. Zero: 64.
 	MaxSessions int
-	// DiscoverThreshold is the /v1/ingest similarity level at which two
-	// forms belong to the same discovered domain, in (0, 1]. Zero:
-	// discover.DefaultThreshold. It shapes the partition only and never
-	// enters integration cache keys.
-	DiscoverThreshold float64
-	// DiscoverTTL evicts discovered domains no form has joined for this
-	// long (ingests into the domain reset the clock). Zero: 15 minutes.
-	// Negative: domains never expire (they still fall to MaxDomains).
-	DiscoverTTL time.Duration
 	// MaxDomains caps live discovered domains; discovering past the cap
 	// evicts the least-recently-used domain. Zero: 64.
 	MaxDomains int
 }
+
+// idleHorizon is how long an idle /v1/sessions session or discovered
+// domain survives before it is evicted lazily (every operation on it
+// resets the clock).
+const idleHorizon = 15 * time.Minute
 
 // Server is the HTTP labeling service. Create with New; it is safe for
 // concurrent use by the standard library's HTTP server.
@@ -130,15 +119,14 @@ type Server struct {
 	domainsList []domainInfo
 
 	// registry holds every servable lexicon version (see lexicons.go);
-	// defaultID caches the content address of the optionless-request
-	// lexicon, computed once (hashing the embedded lexicon is not free).
-	registry      *qilabel.LexiconRegistry
-	defaultIDOnce sync.Once
-	defaultID     string
+	// defaultID is the content address of its default version, the one
+	// optionless requests run on.
+	registry  *qilabel.LexiconRegistry
+	defaultID string
 
 	// integrators caches one qilabel.Integrator per distinct request-option
-	// combination: the server's lexicon, parallelism and stage observer are
-	// fixed for its lifetime, so the comparable requestOptions struct fully
+	// combination: the server's lexicon and stage observer are fixed for
+	// its lifetime, so the comparable requestOptions struct fully
 	// determines a configuration. Each handle's validation, lexicon freeze
 	// and fingerprint are paid once per combination instead of per request.
 	igMu  sync.Mutex
@@ -180,20 +168,8 @@ func New(cfg Config) *Server {
 	if cfg.MaxBatchItems <= 0 {
 		cfg.MaxBatchItems = 64
 	}
-	switch {
-	case cfg.SessionTTL == 0:
-		cfg.SessionTTL = 15 * time.Minute
-	case cfg.SessionTTL < 0:
-		cfg.SessionTTL = 0 // no expiry
-	}
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 64
-	}
-	switch {
-	case cfg.DiscoverTTL == 0:
-		cfg.DiscoverTTL = 15 * time.Minute
-	case cfg.DiscoverTTL < 0:
-		cfg.DiscoverTTL = 0 // no expiry
 	}
 	if cfg.MaxDomains <= 0 {
 		cfg.MaxDomains = 64
@@ -209,7 +185,8 @@ func New(cfg Config) *Server {
 
 		registry: qilabel.NewLexiconRegistry(cfg.MaxLexicons),
 	}
-	s.sessions = newSessionStore(cfg.SessionTTL, cfg.MaxSessions, func(n int) {
+	s.defaultID = s.registry.SetDefault(cfg.Lexicon)
+	s.sessions = newSessionStore(cfg.MaxSessions, func(n int) {
 		s.metrics.sessionsEvicted.Add(int64(n))
 	})
 	s.route("POST /v1/integrate", "/v1/integrate", s.handleIntegrate)
@@ -343,7 +320,6 @@ func (s *Server) integrator(o requestOptions) (*qilabel.Integrator, error) {
 		DisableInstances: o.NoInstances,
 		MaxLevel:         o.MaxLevel,
 		MinFrequency:     o.MinFrequency,
-		Parallelism:      s.cfg.Parallelism,
 		Observer:         s.metrics.observeStage,
 	})
 	if err != nil {
@@ -353,26 +329,6 @@ func (s *Server) integrator(o requestOptions) (*qilabel.Integrator, error) {
 		s.igMap[o] = ig
 	}
 	return ig, nil
-}
-
-func (s *Server) options(o requestOptions) []qilabel.Option {
-	var opts []qilabel.Option
-	if s.cfg.Lexicon != nil {
-		opts = append(opts, qilabel.WithLexicon(s.cfg.Lexicon))
-	}
-	if o.Matcher {
-		opts = append(opts, qilabel.WithMatcher())
-	}
-	if o.NoInstances {
-		opts = append(opts, qilabel.WithoutInstances())
-	}
-	if o.MaxLevel > 0 {
-		opts = append(opts, qilabel.WithMaxLevel(o.MaxLevel))
-	}
-	if o.MinFrequency > 0 {
-		opts = append(opts, qilabel.WithMinFrequency(o.MinFrequency))
-	}
-	return opts
 }
 
 type integrateRequest struct {
@@ -675,7 +631,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.snapshot(s.cache.Len(), s.cfg.CacheSize, s.sessions.active())
 	snap.Warm = warmSnapshotOf(s.warmStats())
-	snap.Discovery = discoverySnapshotOf(s.discoveryEngines(), s.cfg.DiscoverThreshold)
+	snap.Discovery = discoverySnapshotOf(s.discoveryEngines())
 	snap.Lexicons = s.lexiconsMetrics()
 	writeJSON(w, http.StatusOK, snap)
 }

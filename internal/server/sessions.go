@@ -28,7 +28,7 @@ import (
 //	GET    /v1/sessions/{id}/result             current integration
 //
 // Sessions are server-owned state bounded two ways: an idle TTL (a
-// session untouched for SessionTTL is evicted lazily) and a session cap
+// session untouched for idleHorizon is evicted lazily) and a session cap
 // (creating past MaxSessions evicts the least-recently-used session).
 // Clients must treat a 404 on a known id as eviction and recreate.
 //
@@ -41,7 +41,6 @@ import (
 // sessionStore tracks live sessions with idle-TTL and LRU-cap eviction.
 type sessionStore struct {
 	mu  sync.Mutex // also guards liveSession.lastUsed
-	ttl time.Duration
 	max int
 	m   map[string]*liveSession
 	now func() time.Time // test seam
@@ -60,9 +59,8 @@ type liveSession struct {
 	lastUsed time.Time
 }
 
-func newSessionStore(ttl time.Duration, max int, evicted func(int)) *sessionStore {
+func newSessionStore(max int, evicted func(int)) *sessionStore {
 	return &sessionStore{
-		ttl:     ttl,
 		max:     max,
 		m:       make(map[string]*liveSession),
 		now:     time.Now,
@@ -72,12 +70,9 @@ func newSessionStore(ttl time.Duration, max int, evicted func(int)) *sessionStor
 
 // sweep drops expired sessions. Caller holds the lock.
 func (st *sessionStore) sweepLocked(now time.Time) {
-	if st.ttl <= 0 {
-		return
-	}
 	n := 0
 	for id, ls := range st.m {
-		if now.Sub(ls.lastUsed) > st.ttl {
+		if now.Sub(ls.lastUsed) > idleHorizon {
 			delete(st.m, id)
 			n++
 		}
@@ -218,7 +213,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sessionCreateResponse{
 		ID:          ls.id,
 		Fingerprint: sess.Fingerprint(),
-		TTLSeconds:  s.cfg.SessionTTL.Seconds(),
+		TTLSeconds:  idleHorizon.Seconds(),
 	})
 }
 

@@ -209,7 +209,7 @@ func TestSessionErrors(t *testing.T) {
 
 // TestSessionTTLEviction pins the idle-TTL sweep with a fake clock.
 func TestSessionTTLEviction(t *testing.T) {
-	s, ts := newTestServer(t, Config{SessionTTL: time.Minute})
+	s, ts := newTestServer(t, Config{})
 	now := time.Now()
 	s.sessions.now = func() time.Time { return now }
 
@@ -219,13 +219,13 @@ func TestSessionTTLEviction(t *testing.T) {
 	}
 
 	// Touch inside the horizon: survives.
-	now = now.Add(50 * time.Second)
+	now = now.Add(idleHorizon - 10*time.Second)
 	if resp := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+created.ID, nil, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("session evicted before its TTL: %d", resp.StatusCode)
 	}
 
 	// Idle past the horizon: evicted, 404s, counted.
-	now = now.Add(61 * time.Second)
+	now = now.Add(idleHorizon + time.Second)
 	if resp := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+created.ID, nil, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("expired session still resolves: %d", resp.StatusCode)
 	}

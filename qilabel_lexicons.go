@@ -30,8 +30,8 @@ type LexiconDiff = lexicon.DiffReport
 // registry does not hold.
 var ErrUnknownLexicon = lexicon.ErrUnknownVersion
 
-// DefaultLexiconAlias names the embedded default lexicon in every
-// registry.
+// DefaultLexiconAlias names a registry's default version: the embedded
+// default lexicon unless SetDefault replaced it.
 const DefaultLexiconAlias = lexicon.DefaultAlias
 
 // NewLexiconRegistry returns a registry bounded to max versions (0: the
