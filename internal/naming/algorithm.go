@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"strconv"
 	"strings"
 
 	"qilabel/internal/cluster"
@@ -233,20 +232,28 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	// group. A cheap hit skips building the relation and the content
 	// signature entirely; misses resolve through the content signatures and
 	// then alias-store under the cheap key for the next identical run.
+	//
+	// Every key is a sigKey digest streamed through hw (serial phases) or a
+	// worker's own writer (node phase); every stored group outcome is
+	// detached from the run's clusters.
 	cheap := ""
 	if warm != nil && opts.WarmKey != "" {
 		cheap = opts.WarmKey
+	}
+	var hw *sigWriter
+	if warm != nil {
+		hw = newSigHash()
 	}
 	groupOuts := make([]*GroupOutcome, len(mr.Groups))
 	groupCounters := make([]Counters, len(mr.Groups))
 	if warm != nil {
 		rels := make([]*cluster.Relation, len(mr.Groups))
-		sigs := make([]string, len(mr.Groups))
+		sigs := make([]sigKey, len(mr.Groups))
 		var miss []int
 		for i, g := range mr.Groups {
-			gkey := ""
+			var gkey sigKey
 			if cheap != "" {
-				gkey = cheap + "|g|" + strconv.Itoa(i)
+				gkey = hw.cheapKey(cheap, 'g', i)
 				if e, ok := warm.groups.Get(gkey); ok {
 					groupOuts[i] = e.outcomeFor(g)
 					groupCounters[i] = e.counters
@@ -254,11 +261,11 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 				}
 			}
 			rels[i] = cluster.BuildRelation(g, ifaces)
-			sigs[i] = groupSignature(g, rels[i], sopts)
+			sigs[i] = hw.groupSignature(g, rels[i], sopts)
 			if e, ok := warm.groups.Get(sigs[i]); ok {
 				groupOuts[i] = e.outcomeFor(g)
 				groupCounters[i] = e.counters
-				if gkey != "" {
+				if cheap != "" {
 					warm.groups.Put(gkey, e)
 				}
 				continue
@@ -275,10 +282,10 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 			return nil, err
 		}
 		for _, i := range miss {
-			e := groupEntry{outcome: groupOuts[i], counters: groupCounters[i]}
+			e := detach(groupOuts[i], groupCounters[i])
 			warm.groups.Put(sigs[i], e)
 			if cheap != "" {
-				warm.groups.Put(cheap+"|g|"+strconv.Itoa(i), e)
+				warm.groups.Put(hw.cheapKey(cheap, 'g', i), e)
 			}
 		}
 	} else {
@@ -305,7 +312,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		var out *GroupOutcome
 		rootCheap := false
 		if cheap != "" {
-			if e, ok := warm.groups.Get(cheap + "|g|root"); ok {
+			if e, ok := warm.groups.Get(hw.cheapKey(cheap, 'g', -1)); ok {
 				out = e.outcomeFor(mr.Root)
 				res.Counters.Merge(e.counters)
 				rootCheap = true
@@ -314,7 +321,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		if !rootCheap {
 			rel := cluster.BuildRelation(mr.Root, ifaces)
 			if warm != nil {
-				sig := groupSignature(mr.Root, rel, sopts)
+				sig := hw.groupSignature(mr.Root, rel, sopts)
 				e, hit := warm.groups.Get(sig)
 				if hit {
 					out = e.outcomeFor(mr.Root)
@@ -322,12 +329,12 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 					so := sopts
 					so.Counters = &e.counters
 					out = sem.SolveGroup(rel, so)
-					e.outcome = out
+					e = detach(out, e.counters)
 					warm.groups.Put(sig, e)
 				}
 				res.Counters.Merge(e.counters)
 				if cheap != "" {
-					warm.groups.Put(cheap+"|g|root", e)
+					warm.groups.Put(hw.cheapKey(cheap, 'g', -1), e)
 				}
 			} else {
 				out = sem.SolveGroup(rel, sopts)
@@ -346,16 +353,16 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 			res.IsolatedLabels[c.Name] = sem.LabelIsolated(c, sopts)
 			continue
 		}
-		ikey := ""
+		var ikey sigKey
 		if cheap != "" {
-			ikey = cheap + "|s|" + strconv.Itoa(ci)
+			ikey = hw.cheapKey(cheap, 's', ci)
 			if e, ok := warm.isolated.Get(ikey); ok {
 				res.IsolatedLabels[c.Name] = e.label
 				res.Counters.Merge(e.counters)
 				continue
 			}
 		}
-		sig := isolatedSignature(c, sopts)
+		sig := hw.isolatedSignature(c, sopts)
 		e, hit := warm.isolated.Get(sig)
 		if !hit {
 			so := sopts
@@ -365,7 +372,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		}
 		res.IsolatedLabels[c.Name] = e.label
 		res.Counters.Merge(e.counters)
-		if ikey != "" {
+		if cheap != "" {
 			warm.isolated.Put(ikey, e)
 		}
 	}
@@ -389,7 +396,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	work := make([]int, 0, len(internals))
 	for i := range internals {
 		if cheap != "" {
-			if e, ok := warm.nodes.Get(cheap + "|n|" + strconv.Itoa(i)); ok {
+			if e, ok := warm.nodes.Get(hw.cheapKey(cheap, 'n', i)); ok {
 				nodeCounters[i] = e.counters
 				nodeOuts[i] = &NodeReport{
 					Node:           internals[i],
@@ -411,32 +418,35 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	// only units the derivation ever consults (both the potential scan and
 	// LI 5 filter on ⊆ X). The per-cluster and per-unit fragments are
 	// serialized once per run (skipped entirely when the cheap pre-pass
-	// answered every node); each node concatenates the relevant ones.
+	// answered every node); each node streams the relevant ones into its
+	// worker's hashing writer.
 	var clusterSig map[string]string
 	var unitSigs []string
+	var nodeHashes []*sigWriter
 	if warm != nil && len(work) > 0 {
+		var fw sigWriter
 		clusterSig = make(map[string]string, len(mr.Mapping.Clusters))
 		for _, c := range mr.Mapping.Clusters {
-			var b strings.Builder
-			sigMembers(&b, c)
-			clusterSig[c.Name] = b.String()
+			fw.members(c)
+			clusterSig[c.Name] = fw.fragment()
 		}
 		unitSigs = make([]string, len(units))
 		for i, u := range units {
-			var b strings.Builder
-			sigString(&b, u.iface)
-			sigString(&b, u.label)
+			fw.str(u.iface)
+			fw.str(u.label)
 			names := make([]string, 0, len(u.clusters))
 			for n := range u.clusters {
 				names = append(names, n)
 			}
 			sort.Strings(names)
-			b.WriteString(strconv.Itoa(len(names)))
+			fw.int(len(names))
 			for _, n := range names {
-				sigString(&b, n)
+				fw.str(n)
 			}
-			unitSigs[i] = b.String()
+			unitSigs[i] = fw.fragment()
 		}
+		nodeHashes = make([]*sigWriter, workers)
+		nodeHashes[0] = hw // the serial phases are done with it
 	}
 
 	err := pool.ForEach(ctx, workers, len(work), func(w, k int) {
@@ -446,22 +456,26 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		x := internals[i].LeafClusters()
 		names := sortedKeys(x)
 		if warm != nil {
-			var b strings.Builder
-			b.WriteByte('n')
-			sigOptions(&b, sopts)
-			for _, nm := range names {
-				sigString(&b, nm)
-				b.WriteString(clusterSig[nm])
+			nw := nodeHashes[w]
+			if nw == nil {
+				nw = newSigHash()
+				nodeHashes[w] = nw
 			}
-			b.WriteByte('u')
+			nw.byte('n')
+			nw.options(sopts)
+			for _, nm := range names {
+				nw.str(nm)
+				nw.raw(clusterSig[nm])
+			}
+			nw.byte('u')
 			var sub []sourceUnit
 			for k := range units {
 				if subsetSet(units[k].clusters, x) {
 					sub = append(sub, units[k])
-					b.WriteString(unitSigs[k])
+					nw.raw(unitSigs[k])
 				}
 			}
-			sig := b.String()
+			sig := nw.sum()
 			if e, ok := warm.nodes.Get(sig); ok {
 				nodeCounters[i] = e.counters
 				nodeOuts[i] = &NodeReport{
@@ -471,7 +485,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 					PotentialCount: e.potentials,
 				}
 				if cheap != "" {
-					warm.nodes.Put(cheap+"|n|"+strconv.Itoa(i), e)
+					warm.nodes.Put(nw.cheapKey(cheap, 'n', i), e)
 				}
 				return
 			}
@@ -481,7 +495,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 			e := nodeEntry{clusters: names, cands: cands, potentials: potentials, counters: nodeCounters[i]}
 			warm.nodes.Put(sig, e)
 			if cheap != "" {
-				warm.nodes.Put(cheap+"|n|"+strconv.Itoa(i), e)
+				warm.nodes.Put(nw.cheapKey(cheap, 'n', i), e)
 			}
 			nodeOuts[i] = &NodeReport{
 				Node:           internals[i],

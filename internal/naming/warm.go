@@ -20,9 +20,12 @@ const (
 )
 
 // DefaultWarmSolveCap bounds each of the three solve-family tables (group
-// solves, isolated elections, per-node candidate derivations). Entries are
-// heavier than verdicts — an outcome with its solutions — so the cap is
-// smaller.
+// solves, isolated elections, per-node candidate derivations). An entry is
+// a 32-byte digest key plus what reuse reads: a group outcome's tuples,
+// partitions and solutions (detached from the run's clusters), an elected
+// label, or a node's candidates. Measured over 400 integrate-cold-shaped
+// corpora (8–32 sources × 12–24 concepts), entries averaged 2.7 KB of live
+// heap, so the three full tables hold about 130 MB.
 const DefaultWarmSolveCap = 1 << 14
 
 // warmLabel is one interned label: its analysis and the stable ID Relate
@@ -108,13 +111,13 @@ type Warm struct {
 	lex *lexicon.Lexicon
 	ep  atomic.Pointer[warmEpoch]
 
-	// Solve-family caches, keyed by content signatures (groupSignature /
-	// isolatedSignature, plus the node signature RunContext builds): a
-	// solve is a pure function of what the signature serializes and the
-	// lexicon epoch.
-	groups   *twogen.Table[string, groupEntry]
-	isolated *twogen.Table[string, isolatedEntry]
-	nodes    *twogen.Table[string, nodeEntry]
+	// Solve-family caches, keyed by the digests of content signatures
+	// (groupSignature / isolatedSignature, plus the node signature
+	// RunContext streams) and of the cheap positional keys: a solve is a
+	// pure function of what the signature serializes and the lexicon epoch.
+	groups   *twogen.Table[sigKey, groupEntry]
+	isolated *twogen.Table[sigKey, isolatedEntry]
+	nodes    *twogen.Table[sigKey, nodeEntry]
 
 	epochResets atomic.Uint64
 }
@@ -127,9 +130,9 @@ func NewWarm(lex *lexicon.Lexicon) *Warm {
 	}
 	w := &Warm{
 		lex:      lex,
-		groups:   twogen.NewTable[string, groupEntry](DefaultWarmSolveCap),
-		isolated: twogen.NewTable[string, isolatedEntry](DefaultWarmSolveCap),
-		nodes:    twogen.NewTable[string, nodeEntry](DefaultWarmSolveCap),
+		groups:   twogen.NewTable[sigKey, groupEntry](DefaultWarmSolveCap),
+		isolated: twogen.NewTable[sigKey, isolatedEntry](DefaultWarmSolveCap),
+		nodes:    twogen.NewTable[sigKey, nodeEntry](DefaultWarmSolveCap),
 	}
 	w.ep.Store(&warmEpoch{
 		gen:      lex.Generation(),

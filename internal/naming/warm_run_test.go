@@ -1,7 +1,10 @@
 package naming
 
 import (
+	"context"
+	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -170,5 +173,67 @@ func TestWarmRebindsRelation(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWarmStoresDetachedOutcomes: a cached solve holds only what reuse
+// reads. After a keyed warm run over a corpus that forms groups, every
+// entry reachable under that run's group keys — positional and content
+// signature, root included — has a relation without clusters, so the
+// cache pins none of the run's clusters, leaves or trees; every
+// solve-table key is a fixed-size digest, not a serialized signature. A
+// replay from those entries still renders byte for byte like a cold run.
+func TestWarmStoresDetachedOutcomes(t *testing.T) {
+	for _, table := range []any{NewWarm(nil).groups.Get, NewWarm(nil).isolated.Get, NewWarm(nil).nodes.Get} {
+		k := reflect.TypeOf(table).In(0)
+		if k.Kind() != reflect.Array || k.Len() != sha256.Size || k.Elem().Kind() != reflect.Uint8 {
+			t.Fatalf("solve-table key type %v, want a [%d]byte digest", k, sha256.Size)
+		}
+	}
+
+	cold, err := Run(domainMerge(t, "Airline"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderNaming(cold)
+
+	w := NewWarm(nil)
+	opts := Options{Warm: w, WarmKey: "airline"}
+	mr := domainMerge(t, "Airline")
+	if _, err := RunContext(context.Background(), mr, opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(mr.Groups) == 0 {
+		t.Fatal("corpus formed no groups")
+	}
+	sopts := SolverOptions{MaxLevel: opts.MaxLevel, UseInstances: !opts.DisableInstances}
+	ifaces := cluster.Interfaces(mr.Sources)
+	hw := newSigHash()
+	check := func(name string, group []*cluster.Cluster, i int) {
+		rel := cluster.BuildRelation(group, ifaces)
+		for _, key := range []sigKey{hw.cheapKey(opts.WarmKey, 'g', i), hw.groupSignature(group, rel, sopts)} {
+			e, ok := w.groups.Get(key)
+			if !ok {
+				t.Fatalf("%s: no entry under the run's key", name)
+			}
+			if e.outcome.Relation.Clusters != nil {
+				t.Fatalf("%s: stored outcome references %d clusters of the run that solved it",
+					name, len(e.outcome.Relation.Clusters))
+			}
+		}
+	}
+	for i, g := range mr.Groups {
+		check(fmt.Sprintf("group %d", i), g, i)
+	}
+	if len(mr.Root) > 0 {
+		check("root group", mr.Root, -1)
+	}
+
+	replay, err := RunContext(context.Background(), domainMerge(t, "Airline"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderNaming(replay); got != want {
+		t.Fatalf("replay from detached entries diverges:\n--- warm\n%s--- cold\n%s", got, want)
 	}
 }

@@ -1,9 +1,11 @@
 package naming
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 
 	"qilabel/internal/twogen"
@@ -51,32 +53,54 @@ func TestWarmLabelCapBound(t *testing.T) {
 // populations and counters through Stats.
 func TestWarmTableBound(t *testing.T) {
 	w := NewWarm(nil)
-	w.groups = twogen.NewTable[string, groupEntry](8)
+	w.groups = twogen.NewTable[sigKey, groupEntry](8)
+	key := func(s string) sigKey { return sha256.Sum256([]byte(s)) }
 	for i := 0; i < 100; i++ {
-		w.groups.Put("k"+strconv.Itoa(i), groupEntry{})
+		w.groups.Put(key("k"+strconv.Itoa(i)), groupEntry{})
 		if s := w.Stats().Solves; s > 8 {
 			t.Fatalf("after %d stores the table holds %d entries, cap is 8", i+1, s)
 		}
 	}
-	if _, ok := w.groups.Get("k99"); !ok {
+	if _, ok := w.groups.Get(key("k99")); !ok {
 		t.Fatal("newest entry unreachable")
 	}
 	// k92..k95 sit in the old generation. A touched one is promoted and
 	// outlives the rotations that drop its untouched contemporaries.
-	if _, ok := w.groups.Get("k93"); !ok {
+	if _, ok := w.groups.Get(key("k93")); !ok {
 		t.Fatal("old-generation entry unreachable after rotation")
 	}
 	for i := 0; i < 4; i++ {
-		w.groups.Put("new"+strconv.Itoa(i), groupEntry{})
+		w.groups.Put(key("new"+strconv.Itoa(i)), groupEntry{})
 	}
-	if _, ok := w.groups.Get("k93"); !ok {
+	if _, ok := w.groups.Get(key("k93")); !ok {
 		t.Fatal("promoted entry evicted by the next rotation")
 	}
-	if _, ok := w.groups.Get("k92"); ok {
+	if _, ok := w.groups.Get(key("k92")); ok {
 		t.Fatal("unreferenced old-generation entry survived two rotations")
 	}
 	if st := w.Stats(); st.SolveHits != 3 || st.SolveMisses != 1 {
 		t.Fatalf("solve counters %+v, want 3 hits and 1 miss", st)
+	}
+}
+
+// TestSigWriterStreamsSerialization: a hashing sigWriter's key is the
+// SHA-256 of exactly the bytes an accumulating one builds, whatever the
+// lengths around its buffer boundary, and successive keys are independent.
+func TestSigWriterStreamsSerialization(t *testing.T) {
+	hw := newSigHash()
+	for _, n := range []int{0, 1, sigBufSize - 3, sigBufSize, sigBufSize + 1, 3*sigBufSize + 7} {
+		long := strings.Repeat("x", n)
+		var acc sigWriter
+		for _, w := range []*sigWriter{&acc, hw} {
+			w.byte('g')
+			w.int(n)
+			w.str(long)
+			w.raw(long)
+			w.str("tail")
+		}
+		if got, want := hw.sum(), sigKey(sha256.Sum256(acc.buf)); got != want {
+			t.Fatalf("len %d: streamed key %x, want the digest of the serialization %x", n, got, want)
+		}
 	}
 }
 

@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"runtime"
 	"testing"
+	"time"
 
 	"qilabel"
+	"qilabel/internal/cluster"
 )
 
 // disjointSources builds a small annotated corpus whose labels are unique
@@ -77,5 +79,57 @@ func TestServerMemoryBounded(t *testing.T) {
 	if grown > base+limit {
 		t.Fatalf("GC'd heap grew %d bytes over %d disjoint requests (limit %d): per-request state is being retained",
 			grown-base, n, limit)
+	}
+}
+
+// TestServerReleasesEvictedResults is the retention audit
+// TestServerMemoryBounded cannot make: its flat two-field trees form no
+// groups, so nothing of theirs reaches the naming solve cache. Here every
+// request is a distinct nested corpus that forms groups. Once the result
+// cache has evicted a request's entry, nothing the server keeps — the
+// result LRU, the Integrators' warm caches or anything else — may still
+// reference that run: a finalizer on one cluster of each evicted result
+// (each is allocated on its own by cluster.FromTrees) must fire after a
+// collection.
+func TestServerReleasesEvictedResults(t *testing.T) {
+	const capEntries, n = 4, 32
+	s, ts := newTestServer(t, Config{CacheSize: capEntries})
+	freed := make(chan struct{}, n)
+	// The last capEntries requests are not tracked: they only push every
+	// tracked entry out of the result cache.
+	for i, sources := range synthSets(t, 1507, n+capEntries) {
+		resp := postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: sources})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("corpus %d: status %d", i, resp.StatusCode)
+		}
+		var out integrateResponse
+		decodeBody(t, resp, &out)
+		if out.Cached {
+			t.Fatalf("corpus %d: answered from the result cache; the corpora must be distinct", i)
+		}
+		if i >= n {
+			continue
+		}
+		e, ok := s.cache.Get(out.Key)
+		if !ok || e.res == nil || len(e.res.Mapping.Clusters) == 0 {
+			t.Fatalf("corpus %d: no cached result with clusters under %s", i, out.Key)
+		}
+		runtime.SetFinalizer(e.res.Mapping.Clusters[0], func(*cluster.Cluster) { freed <- struct{}{} })
+	}
+	if got := s.cache.Len(); got != capEntries {
+		t.Fatalf("result cache holds %d entries, want %d", got, capEntries)
+	}
+
+	deadline := time.After(20 * time.Second)
+	for got := 0; got < n; {
+		runtime.GC()
+		select {
+		case <-freed:
+			got++
+		case <-time.After(100 * time.Millisecond):
+			// Collect again: a sync.Pool drops its victims a cycle late.
+		case <-deadline:
+			t.Fatalf("%d of %d evicted results are still reachable from the server", n-got, n)
+		}
 	}
 }

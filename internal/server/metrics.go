@@ -1,6 +1,7 @@
 package server
 
 import (
+	rtmetrics "runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -210,6 +211,7 @@ type snapshot struct {
 	Inflight      int64                       `json:"inflight"`
 	Cache         cacheSnapshot               `json:"cache"`
 	Warm          warmSnapshot                `json:"warm"`
+	Runtime       runtimeSnapshot             `json:"runtime"`
 	Batch         batchSnapshot               `json:"batch"`
 	Persistence   persistenceSnapshot         `json:"persistence"`
 	Sessions      sessionsSnapshot            `json:"sessions"`
@@ -223,9 +225,10 @@ type snapshot struct {
 // warmSnapshot is the cross-run warm-cache section of /metrics: the
 // Integrator-owned caches (label interning, Relate verdicts, matcher block
 // keys and pair verdicts, solve/node derivations, source-label memo)
-// aggregated over every cached Integrator. HitRate is total hits over
-// total probes across every layer — the single number qiload's -warm
-// column reports.
+// aggregated over every cached Integrator: hits and misses, and the
+// entries each layer holds, so a large live heap can be traced to the
+// cache that holds it. HitRate is total hits over total probes across
+// every layer — the single number qiload's -warm column reports.
 type warmSnapshot struct {
 	Integrators     int     `json:"integrators"`
 	LabelHits       uint64  `json:"labelHits"`
@@ -244,6 +247,13 @@ type warmSnapshot struct {
 	SourceMisses    uint64  `json:"sourceMisses"`
 	EpochResets     uint64  `json:"epochResets"`
 	HitRate         float64 `json:"hitRate"`
+	LabelsInterned  int     `json:"labelsInterned"`
+	Verdicts        int     `json:"verdicts"`
+	Solves          int     `json:"solves"`
+	Nodes           int     `json:"nodes"`
+	MatchKeys       int     `json:"matchKeys"`
+	MatchPairs      int     `json:"matchPairs"`
+	SourcesMemoized int     `json:"sourcesMemoized"`
 }
 
 // warmSnapshotOf aggregates the warm statistics of the given integrators.
@@ -265,6 +275,13 @@ func warmSnapshotOf(stats []qilabel.WarmStats) warmSnapshot {
 		w.SourceHits += st.SourceHits
 		w.SourceMisses += st.SourceMisses
 		w.EpochResets += st.EpochResets
+		w.LabelsInterned += st.LabelsInterned
+		w.Verdicts += st.Verdicts
+		w.Solves += st.Solves
+		w.Nodes += st.Nodes
+		w.MatchKeys += st.MatchKeys
+		w.MatchPairs += st.MatchPairs
+		w.SourcesMemoized += st.SourcesMemoized
 	}
 	hits := w.LabelHits + w.VerdictHits + w.SolveHits + w.NodeHits +
 		w.MatchKeyHits + w.MatchPairHits + w.SourceHits
@@ -274,6 +291,31 @@ func warmSnapshotOf(stats []qilabel.WarmStats) warmSnapshot {
 		w.HitRate = float64(hits) / float64(hits+misses)
 	}
 	return w
+}
+
+// runtimeSnapshot is the process section of /metrics: the Go heap that
+// survived the last collection and the number of collections so far.
+type runtimeSnapshot struct {
+	HeapLiveBytes uint64 `json:"heapLiveBytes"`
+	GCCycles      uint64 `json:"gcCycles"`
+}
+
+// runtimeSnapshotNow reads the runtime section from runtime/metrics, which
+// does not stop the world.
+func runtimeSnapshotNow() runtimeSnapshot {
+	samples := []rtmetrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	rtmetrics.Read(samples)
+	var r runtimeSnapshot
+	if v := samples[0].Value; v.Kind() == rtmetrics.KindUint64 {
+		r.HeapLiveBytes = v.Uint64()
+	}
+	if v := samples[1].Value; v.Kind() == rtmetrics.KindUint64 {
+		r.GCCycles = v.Uint64()
+	}
+	return r
 }
 
 type cacheSnapshot struct {

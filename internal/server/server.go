@@ -631,6 +631,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.snapshot(s.cache.Len(), s.cfg.CacheSize, s.sessions.active())
 	snap.Warm = warmSnapshotOf(s.warmStats())
+	snap.Runtime = runtimeSnapshotNow()
 	snap.Discovery = discoverySnapshotOf(s.discoveryEngines())
 	snap.Lexicons = s.lexiconsMetrics()
 	writeJSON(w, http.StatusOK, snap)

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -432,6 +433,19 @@ func TestDomainsHealthzMetrics(t *testing.T) {
 	}
 	if snap.Stages["naming"].Units == 0 {
 		t.Error("naming stage reports zero units")
+	}
+	// What the warm caches hold, and the live heap it adds up to.
+	if w := snap.Warm; w.LabelsInterned == 0 || w.Verdicts == 0 || w.Solves == 0 || w.Nodes == 0 || w.SourcesMemoized == 0 {
+		t.Errorf("warm populations missing from metrics: %+v", w)
+	}
+	runtime.GC()
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeBody(t, resp, &snap)
+	if snap.Runtime.HeapLiveBytes == 0 || snap.Runtime.GCCycles == 0 {
+		t.Errorf("runtime section after a collection = %+v", snap.Runtime)
 	}
 }
 
